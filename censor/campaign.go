@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"iter"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,112 +30,52 @@ type Campaign struct {
 }
 
 // Stream delivers campaign results in their deterministic order: by
-// vantage (configured order), then measurement, then domain. Consume
-// Results() to completion, then check Err(). A consumer that stops
-// reading early must call Cancel (or cancel the campaign context) so the
-// workers behind the stream wind down.
+// vantage (configured order), then measurement, then domain. Consume it
+// exactly once, through one of All, Collect, Drain or WriteJSONL. A
+// stream nobody consumes holds its workers until the campaign context is
+// cancelled.
 //
 // Internally the stream moves whole task batches, not individual
 // results: the merger emits each task's result slice with a single
-// channel send, and Drain hands the batch to sinks that implement
-// BatchSink in one call. Results(), Collect and Drain are alternative
-// single-consumer faces of the same batch channel — pick one per
-// stream.
+// channel send, and Drain hands the batch to every sink in one
+// WriteBatch call.
+//
+// All, Collect and Drain follow one rule: they report an error exactly
+// when some task's results were not delivered — the campaign context was
+// cancelled before every task completed, or a sink handed to Drain
+// failed.
 type Stream struct {
 	batches chan []Result
 	free    chan []Result // recycled task slices; see takeSlice/release
-	ctx     context.Context
 	cancel  context.CancelFunc
-	// Consumer-side abandonment signals, distinct from the derived
-	// context: the merger cancels st.ctx during normal teardown, so the
-	// Results() forwarder cannot use it to tell "consumer walked away"
-	// from "campaign finished with batches still buffered". abort closes
-	// on Cancel(); parentDone is the caller's own context.
-	abort      chan struct{}
-	abortOnce  sync.Once
-	parentDone <-chan struct{}
-	// err is written by the merger before batches closes, or by the
-	// Results() forwarder (before resCh closes) when the consumer
-	// abandons results mid-flight; Err() reads it only after the channel
-	// it consumes has closed, which orders every access.
+	// err is written by the merger before batches closes; consumers read
+	// it only after the channel has closed, which orders every access.
 	err error
-
-	resOnce sync.Once
-	resCh   chan Result
 }
 
-// Results is the stream's per-result delivery channel; it closes when
-// the campaign completes or is cancelled. It is a compatibility view
-// over the batch channel: a forwarder copies each batch out result by
-// result, so batch recycling never touches values a consumer holds.
-func (st *Stream) Results() <-chan Result {
-	st.resOnce.Do(func() {
-		st.resCh = make(chan Result, 64)
-		// abandon stops forwarding on consumer-side cancellation: results
-		// still in flight are dropped, the batch channel is drained until
-		// the merger closes it (that close orders the merger's st.err
-		// write), and the cancellation is recorded — the merger may have
-		// already emitted every batch and exited cleanly, so the forwarder
-		// is the only goroutine that knows delivery was cut short.
-		abandon := func(batch []Result) {
+// All ranges over the stream's results in order. If the campaign ended
+// early, the last pair carries the cause, (Result{}, err); a complete run
+// yields no error. Breaking out of the loop cancels the campaign and
+// waits until its workers have let go of the stream.
+func (st *Stream) All() iter.Seq2[Result, error] {
+	return func(yield func(Result, error) bool) {
+		for batch := range st.batches {
+			for i := range batch {
+				if !yield(batch[i], nil) {
+					st.stop(batch)
+					return
+				}
+			}
 			st.release(batch)
-			for b := range st.batches {
-				st.release(b)
-			}
-			if st.err == nil {
-				if err := st.ctx.Err(); err != nil {
-					st.err = err
-				} else {
-					// Parent done-channels close a beat before the
-					// cancellation propagates to derived contexts.
-					st.err = context.Canceled
-				}
-			}
 		}
-		go func() {
-			defer close(st.resCh)
-			for batch := range st.batches {
-				for i := range batch {
-					// Check abandonment first: a consumer that keeps
-					// draining after Cancel must still observe the cut.
-					select {
-					case <-st.abort:
-						abandon(batch)
-						return
-					case <-st.parentDone:
-						abandon(batch)
-						return
-					default:
-					}
-					select {
-					case st.resCh <- batch[i]:
-					case <-st.abort:
-						abandon(batch)
-						return
-					case <-st.parentDone:
-						abandon(batch)
-						return
-					}
-				}
-				st.release(batch)
-			}
-		}()
-	})
-	return st.resCh
+		if st.err != nil {
+			yield(Result{}, st.err)
+		}
+	}
 }
 
-// Cancel stops the campaign early. Results() still closes (drain it),
-// and Err() reports the cancellation. Safe to call multiple times.
-func (st *Stream) Cancel() {
-	st.cancel()
-	st.abortOnce.Do(func() { close(st.abort) })
-}
-
-// Err reports why the stream ended early (context cancellation), or nil
-// after a complete run. Only valid once Results() is closed.
-func (st *Stream) Err() error { return st.err }
-
-// Collect drains the stream into a slice.
+// Collect drains the stream into a slice. On error the slice holds the
+// results delivered before the campaign ended.
 func (st *Stream) Collect() ([]Result, error) {
 	var out []Result
 	for batch := range st.batches {
@@ -142,6 +83,18 @@ func (st *Stream) Collect() ([]Result, error) {
 		st.release(batch)
 	}
 	return out, st.err
+}
+
+// stop abandons the stream mid-consumption: it releases the batch the
+// consumer holds, cancels the campaign and drains the batches still in
+// flight until the merger closes the channel, so no worker is left
+// blocked behind the stream and every replica is parked again.
+func (st *Stream) stop(batch []Result) {
+	st.release(batch)
+	st.cancel()
+	for b := range st.batches {
+		st.release(b)
+	}
 }
 
 // takeSlice checks a recycled task slice out of the stream's free list,
@@ -161,7 +114,7 @@ func (st *Stream) takeSlice(capHint int) []Result {
 // release clears a delivered batch (dropping the per-result pointers so
 // the GC can reclaim them) and parks the backing array for the next
 // task. Consumers own batch values only until their consuming loop
-// moves on — Drain documents the same contract for BatchSink.
+// moves on — the Sink contract says the same for WriteBatch.
 func (st *Stream) release(b []Result) {
 	if cap(b) == 0 {
 		return
@@ -173,64 +126,28 @@ func (st *Stream) release(b []Result) {
 	}
 }
 
-// Drain consumes the stream to completion, delivering every result to
-// each sink as it arrives — in the stream's deterministic order — and
-// flushing the sinks once the stream closes. On a sink error it cancels
-// the campaign and drains the remainder so no worker is left blocked
-// behind the stream, then returns that error. Every sink is flushed on
-// every path — a sibling sink's buffered output is not lost to another
-// sink's failure — and the first error wins. Otherwise it returns the
-// stream's own Err.
-//
-// Delivery granularity: when every sink implements BatchSink, Drain
-// hands each task's results over as one WriteBatch call — the batch is
-// the atomic delivery unit, and a failing sink stops its siblings at
-// the batch boundary. If any sink only implements Sink, Drain falls
-// back to per-result Write fan-out for all of them, preserving the
-// original lockstep semantics (a result rejected by one sink is not
-// offered to the next). Output bytes are identical either way.
+// Drain consumes the stream to completion, handing each task's results
+// to every sink as one WriteBatch call — in the stream's deterministic
+// order — and flushing the sinks once the stream closes. The batch is the
+// delivery unit: when a sink fails, the sinks after it do not see that
+// batch, the campaign is cancelled and the remainder drained so no
+// worker is left blocked behind the stream, and Drain returns that
+// error. Every sink is flushed on every path — a sibling sink's buffered
+// output is not lost to another sink's failure — and the first error
+// wins. Otherwise it returns the stream's own error.
 func (st *Stream) Drain(sinks ...Sink) error {
-	batchers := make([]BatchSink, len(sinks))
-	allBatch := true
-	for i, s := range sinks {
-		b, ok := s.(BatchSink)
-		if !ok {
-			allBatch = false
-			break
-		}
-		batchers[i] = b
-	}
-
 	var firstErr error
 	for batch := range st.batches {
-		if allBatch {
-			for _, b := range batchers {
-				if err := b.WriteBatch(batch); err != nil {
-					firstErr = err
-					break
-				}
-			}
-		} else {
-			for i := range batch {
-				for _, s := range sinks {
-					if err := s.Write(batch[i]); err != nil {
-						firstErr = err
-						break
-					}
-				}
-				if firstErr != nil {
-					break
-				}
+		for _, s := range sinks {
+			if firstErr = s.WriteBatch(batch); firstErr != nil {
+				break
 			}
 		}
-		st.release(batch)
 		if firstErr != nil {
-			st.Cancel()
-			for b := range st.batches {
-				st.release(b)
-			}
+			st.stop(batch)
 			break
 		}
+		st.release(batch)
 	}
 	for _, s := range sinks {
 		if err := s.Flush(); err != nil && firstErr == nil {
@@ -302,7 +219,7 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 	// domain list and validated the vantages, or the determinism contract
 	// (and the catalog itself) breaks.
 	if !reflect.DeepEqual(cfg.world, s.cfg.world) {
-		return nil, fmt.Errorf("censor: world options (WithScenario/WithScale/WithSeed) are fixed per session; start a new Session instead")
+		return nil, fmt.Errorf("censor: world options (WithScenario/WithSeed) are fixed per session; start a new Session instead")
 	}
 	for _, name := range cfg.vantages {
 		if s.world.ISP(name) == nil {
@@ -348,14 +265,15 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 		// rarely blocks behind the consumer, small enough that a consumer
 		// abandoning mid-stream (TestDrainCancelledStream's shape) still
 		// forces the campaign through the cancellation path.
-		batches:    make(chan []Result, 2),
-		free:       make(chan []Result, workers+2),
-		ctx:        ctx,
-		cancel:     cancel,
-		abort:      make(chan struct{}),
-		parentDone: parent.Done(),
+		batches: make(chan []Result, 2),
+		free:    make(chan []Result, workers+2),
+		cancel:  cancel,
 	}
 	results := make([][]Result, len(tasks))
+	// cut marks a task the cancellation skipped or interrupted: its slot
+	// holds fewer results than a complete run, so the merger must report
+	// the cancellation instead of emitting it.
+	cut := make([]bool, len(tasks))
 	done := make([]chan struct{}, len(tasks))
 	for i := range done {
 		done[i] = make(chan struct{})
@@ -389,6 +307,7 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 			var world *ispnet.World
 			for i := range idxCh {
 				if ctx.Err() != nil {
+					cut[i] = true
 					close(done[i])
 					continue
 				}
@@ -406,6 +325,7 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 				span := cfg.trace.Start(tasks[i].vantage+"/"+tasks[i].m.Kind(), "task", wid)
 				start := obs.WallClock()
 				results[i] = runTask(ctx, world, cfg, tasks[i], domains, st)
+				cut[i] = ctx.Err() != nil
 				hTask.Observe(obs.WallClock() - start)
 				cfg.trace.Finish(span)
 				cTasks.Inc()
@@ -454,11 +374,21 @@ func (s *Session) Run(parent context.Context, c Campaign, opts ...Option) (*Stre
 			}
 			hMergeWait.Observe(obs.WallClock() - start)
 			cfg.trace.Finish(span)
+			if cut[i] {
+				st.err = ctx.Err()
+				return
+			}
 			batch := results[i]
 			results[i] = nil // the consumer owns the batch now
 			if len(batch) == 0 {
 				st.release(batch)
 				continue
+			}
+			// A cancellation that arrived before this send wins: the select
+			// below picks at random when the consumer has room too.
+			if err := ctx.Err(); err != nil {
+				st.err = err
+				return
 			}
 			select {
 			case st.batches <- batch:

@@ -8,18 +8,9 @@ import (
 	"weak"
 )
 
-// sinkOnly hides a sink's WriteBatch method, forcing Drain onto the
-// legacy per-result fan-out path.
-type sinkOnly struct {
-	s Sink
-}
-
-func (w sinkOnly) Write(r Result) error { return w.s.Write(r) }
-func (w sinkOnly) Flush() error         { return w.s.Flush() }
-
 // drainOutputs runs one small campaign and drains it into JSONL, CSV
-// and aggregate sinks, optionally stripped of their batch capability.
-func drainOutputs(t *testing.T, s *Session, batched bool, opts ...Option) (jsonl, csv []byte, summary string) {
+// and aggregate sinks.
+func drainOutputs(t *testing.T, s *Session, opts ...Option) (jsonl, csv []byte, summary string) {
 	t.Helper()
 	stream, err := s.Run(context.Background(), Campaign{
 		Domains:      s.PBWDomains()[:24],
@@ -30,45 +21,18 @@ func drainOutputs(t *testing.T, s *Session, batched bool, opts ...Option) (jsonl
 	}
 	var jb, cb bytes.Buffer
 	agg := NewAggregateSink()
-	sinks := []Sink{NewJSONLSink(&jb), NewCSVSink(&cb), agg}
-	if !batched {
-		for i, s := range sinks {
-			sinks[i] = sinkOnly{s}
-		}
-	}
-	if err := stream.Drain(sinks...); err != nil {
+	if err := stream.Drain(NewJSONLSink(&jb), NewCSVSink(&cb), agg); err != nil {
 		t.Fatalf("Drain: %v", err)
 	}
 	return jb.Bytes(), cb.Bytes(), agg.Summary()
-}
-
-// TestDrainBatchedVsUnbatchedIdentity pins the BatchSink contract: the
-// batch path and the per-result fallback produce byte-identical JSONL,
-// CSV and summary output.
-func TestDrainBatchedVsUnbatchedIdentity(t *testing.T) {
-	s := session(t)
-	bj, bc, bs := drainOutputs(t, s, true)
-	uj, uc, us := drainOutputs(t, s, false)
-	if !bytes.Equal(bj, uj) {
-		t.Error("JSONL output differs batched vs unbatched")
-	}
-	if !bytes.Equal(bc, uc) {
-		t.Error("CSV output differs batched vs unbatched")
-	}
-	if bs != us {
-		t.Error("summary differs batched vs unbatched")
-	}
-	if len(bj) == 0 || len(bc) == 0 || bs == "" {
-		t.Fatal("campaign produced no output")
-	}
 }
 
 // TestDrainBatchedWorkerIdentity pins the parallelism contract on the
 // batch path: workers=1 and workers=8 drains are byte-identical.
 func TestDrainBatchedWorkerIdentity(t *testing.T) {
 	s := session(t)
-	j1, c1, s1 := drainOutputs(t, s, true, WithWorkers(1))
-	j8, c8, s8 := drainOutputs(t, s, true, WithWorkers(8))
+	j1, c1, s1 := drainOutputs(t, s, WithWorkers(1))
+	j8, c8, s8 := drainOutputs(t, s, WithWorkers(8))
 	if !bytes.Equal(j1, j8) {
 		t.Error("JSONL output differs workers 1 vs 8")
 	}
@@ -85,8 +49,8 @@ func TestDrainBatchedWorkerIdentity(t *testing.T) {
 // output bytes.
 func TestDrainBatchedFreshReplicaIdentity(t *testing.T) {
 	s := session(t)
-	pj, pc, ps := drainOutputs(t, s, true)
-	fj, fc, fs := drainOutputs(t, s, true, withFreshReplicaWorlds())
+	pj, pc, ps := drainOutputs(t, s)
+	fj, fc, fs := drainOutputs(t, s, withFreshReplicaWorlds())
 	if !bytes.Equal(pj, fj) {
 		t.Error("JSONL output differs pooled vs fresh replicas")
 	}
@@ -98,22 +62,22 @@ func TestDrainBatchedFreshReplicaIdentity(t *testing.T) {
 	}
 }
 
-// cancelBatchSink cancels a context after its first batch, then keeps
+// cancelSink cancels a context after its first batch, then keeps
 // accepting writes — the consumer-cancels-mid-drain shape.
-type cancelBatchSink struct {
+type cancelSink struct {
 	cancel  context.CancelFunc
 	batches int
 }
 
-func (c *cancelBatchSink) Write(Result) error { return nil }
-func (c *cancelBatchSink) WriteBatch(rs []Result) error {
+func (c *cancelSink) WriteBatch([]Result) error {
 	c.batches++
 	if c.batches == 1 {
 		c.cancel()
 	}
 	return nil
 }
-func (c *cancelBatchSink) Flush() error { return nil }
+
+func (c *cancelSink) Flush() error { return nil }
 
 // TestDrainBatchedContextCancel cancels the campaign context from
 // inside a WriteBatch call mid-drain: Drain must terminate (no stuck
@@ -129,7 +93,7 @@ func TestDrainBatchedContextCancel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	sink := &cancelBatchSink{cancel: cancel}
+	sink := &cancelSink{cancel: cancel}
 	// 6 tasks against a 2-batch stream buffer: the merger cannot have
 	// emitted every batch when the first one lands in the sink, so the
 	// cancellation deterministically strikes a live campaign.
@@ -141,86 +105,20 @@ func TestDrainBatchedContextCancel(t *testing.T) {
 	}
 }
 
-// failBatchSink fails on its nth WriteBatch.
-type failBatchSink struct {
-	after   int
-	batches int
-}
-
-func (f *failBatchSink) Write(Result) error { return nil }
-func (f *failBatchSink) WriteBatch(rs []Result) error {
-	f.batches++
-	if f.batches > f.after {
-		return errBatchBoom
-	}
-	return nil
-}
-func (f *failBatchSink) Flush() error { return nil }
-
-// countBatchSink tallies batches and results; records Flush.
-type countBatchSink struct {
-	batches, results int
-	flushed          bool
-}
-
-func (c *countBatchSink) Write(Result) error { return nil }
-func (c *countBatchSink) WriteBatch(rs []Result) error {
-	c.batches++
-	c.results += len(rs)
-	return nil
-}
-func (c *countBatchSink) Flush() error {
-	c.flushed = true
-	return nil
-}
-
-var errBatchBoom = errBoom("batch sink exploded")
-
-type errBoom string
-
-func (e errBoom) Error() string { return string(e) }
-
-// TestDrainBatchedSinkError pins batch-path error semantics: the batch
-// is the atomic delivery unit, a sink failing on batch N stops the
-// fan-out at that batch boundary, every sink still gets flushed, and
-// the sink error wins over the stream's cancellation error.
-func TestDrainBatchedSinkError(t *testing.T) {
-	s := session(t)
-	stream, err := s.Run(context.Background(), Campaign{
-		Domains:      s.PBWDomains()[:16],
-		Measurements: []Measurement{DNS(), HTTP()},
-	}, WithVantages("Airtel", "Idea", "Vodafone"))
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	fail := &failBatchSink{after: 2}
-	sibling := &countBatchSink{}
-	if err := stream.Drain(fail, sibling); err != errBatchBoom {
-		t.Fatalf("Drain = %v, want %v", err, errBatchBoom)
-	}
-	// The failing sink rejected batch 3 before the sibling saw it.
-	if sibling.batches != fail.after {
-		t.Errorf("sibling saw %d batches, want %d", sibling.batches, fail.after)
-	}
-	if !sibling.flushed {
-		t.Error("sibling sink was not flushed after the failure")
-	}
-}
-
-// weakBatchSink records weak pointers to each delivered batch's first
-// result without retaining any strong reference to the batch.
-type weakBatchSink struct {
+// weakSink records weak pointers to each delivered batch's first result
+// without retaining any strong reference to the batch.
+type weakSink struct {
 	ptrs []weak.Pointer[Result]
 }
 
-func (w *weakBatchSink) Write(Result) error { return nil }
-func (w *weakBatchSink) WriteBatch(rs []Result) error {
+func (w *weakSink) WriteBatch(rs []Result) error {
 	if len(rs) > 0 {
 		w.ptrs = append(w.ptrs, weak.Make(&rs[0]))
 	}
 	return nil
 }
-func (w *weakBatchSink) Flush() error { return nil }
+
+func (w *weakSink) Flush() error { return nil }
 
 // TestCampaignReleasesTaskSlices is the retention regression test for
 // the merger: emitted slots are nilled and batch backing arrays live
@@ -238,7 +136,7 @@ func TestCampaignReleasesTaskSlices(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		sink := &weakBatchSink{}
+		sink := &weakSink{}
 		if err := stream.Drain(sink); err != nil {
 			t.Fatalf("Drain: %v", err)
 		}

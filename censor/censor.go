@@ -40,7 +40,10 @@
 //		Domains:      sess.PBWDomains()[:50],
 //		Measurements: []censor.Measurement{censor.HTTP(), censor.DNS()},
 //	}, censor.WithWorkers(4))
-//	for res := range stream.Results() {
+//	for res, err := range stream.All() {
+//		if err != nil {
+//			return err // the campaign ended before every result arrived
+//		}
 //		fmt.Println(res.Domain, res.Blocked, res.Mechanism)
 //	}
 //
@@ -64,18 +67,6 @@ import (
 	"repro/internal/ispnet"
 	"repro/internal/probe"
 	"repro/obs"
-)
-
-// Scale selects a world size.
-type Scale int
-
-// The two calibrated world sizes.
-const (
-	// ScalePaper is the paper-scale world: 1200 potentially blocked
-	// websites, Alexa 1000, 40 vantage points, the nine ISPs plus TATA.
-	ScalePaper Scale = iota
-	// ScaleSmall is the reduced world for experimentation and tests.
-	ScaleSmall
 )
 
 // StudyISPs are the nine ISPs of the study, in the paper's order: the
@@ -146,20 +137,6 @@ func WithScenario(s Scenario) Option {
 		c.world = world
 		c.scenario = s.Clone()
 	}
-}
-
-// WithScale picks one of the calibrated world sizes.
-//
-// Deprecated: scales are just the two paper presets now — use
-// WithScenario with LookupScenario("paper-2018") or
-// LookupScenario("small"), which also opens every other preset and custom
-// world.
-func WithScale(s Scale) Option {
-	name := "paper-2018"
-	if s == ScaleSmall {
-		name = "small"
-	}
-	return WithScenario(mustScenario(name))
 }
 
 // WithSeed reseeds the world's deterministic engine.

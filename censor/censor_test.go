@@ -3,10 +3,14 @@ package censor
 import (
 	"bytes"
 	"context"
+	"errors"
 	"reflect"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ispnet"
 	"repro/internal/websim"
 )
 
@@ -181,62 +185,164 @@ func TestCampaignCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	stream, err := s.Run(ctx, Campaign{
-		// Enough work that cancellation strikes mid-campaign.
+		// Enough tasks that cancellation strikes mid-campaign: the stream
+		// moves whole task batches, and its two-batch lookahead plus the
+		// batch in hand must not cover the whole campaign.
 		Domains:      s.PBWDomains()[:64],
-		Measurements: []Measurement{HTTP()},
+		Measurements: []Measurement{DNS(), HTTP()},
 	}, WithVantages("Airtel", "Idea", "Vodafone"), WithWorkers(2))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// Consume one result to prove the stream was live, then cancel.
-	if _, ok := <-stream.Results(); !ok {
+	// Consume one result to prove the stream was live, then cancel from
+	// inside the loop body.
+	n, err := rangeGuarded(t, stream, func(n int) {
+		if n == 1 {
+			cancel()
+		}
+	})
+	if n == 0 {
 		t.Fatal("stream closed before first result")
 	}
-	cancel()
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case _, ok := <-stream.Results():
-			if !ok {
-				if stream.Err() != context.Canceled {
-					t.Fatalf("Err() = %v, want context.Canceled", stream.Err())
-				}
-				return
-			}
-		case <-deadline:
-			t.Fatal("stream did not terminate after cancellation")
-		}
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("All ended with %v after %d results, want context.Canceled", err, n)
 	}
 }
 
-// TestStreamCancel covers the consumer-side abandon path: Cancel() must
-// wind the campaign down and still close the stream.
+// TestStreamCancel cancels the campaign from another goroutine while the
+// consumer keeps ranging: the range must still end, and its last pair
+// must carry the cancellation.
 func TestStreamCancel(t *testing.T) {
 	s := session(t)
-	stream, err := s.Run(context.Background(), Campaign{
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stream, err := s.Run(ctx, Campaign{
 		Domains:      s.PBWDomains()[:64],
-		Measurements: []Measurement{HTTP()},
+		Measurements: []Measurement{DNS(), HTTP()},
 	}, WithVantages("Airtel", "Idea", "Vodafone"), WithWorkers(2))
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if _, ok := <-stream.Results(); !ok {
+	first := make(chan struct{})
+	go func() {
+		<-first
+		cancel()
+	}()
+	n, err := rangeGuarded(t, stream, func(n int) {
+		if n == 1 {
+			close(first)
+			// Hold the first result until the other goroutine has
+			// cancelled, so the cancellation lands mid-campaign.
+			<-ctx.Done()
+		}
+	})
+	if n == 0 {
 		t.Fatal("stream closed before first result")
 	}
-	stream.Cancel()
-	deadline := time.After(30 * time.Second)
-	for {
-		select {
-		case _, ok := <-stream.Results():
-			if !ok {
-				if stream.Err() != context.Canceled {
-					t.Fatalf("Err() = %v, want context.Canceled", stream.Err())
-				}
-				return
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("All ended with %v after %d results, want context.Canceled", err, n)
+	}
+}
+
+// rangeGuarded ranges over st.All() with a deadlock guard, calling
+// onResult with the running count after each result. It returns the
+// number of results and the error pair the range ended with, and fails
+// the test if a result follows the error pair.
+func rangeGuarded(t *testing.T, st *Stream, onResult func(n int)) (int, error) {
+	t.Helper()
+	type outcome struct {
+		n          int
+		err        error
+		afterError bool
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		for _, err := range st.All() {
+			if o.err != nil {
+				o.afterError = true
 			}
-		case <-deadline:
-			t.Fatal("stream did not terminate after Cancel")
+			if err != nil {
+				o.err = err
+				continue
+			}
+			o.n++
+			onResult(o.n)
 		}
+		done <- o
+	}()
+	select {
+	case o := <-done:
+		if o.afterError {
+			t.Fatal("All yielded a pair after its error pair")
+		}
+		return o.n, o.err
+	case <-time.After(30 * time.Second):
+		t.Fatal("range over All did not end")
+		return 0, nil
+	}
+}
+
+// TestAllBreakReleasesCampaign: a break out of All after the first
+// result must cancel the campaign, let every goroutine it started exit,
+// and park its replica worlds for the session's next run.
+func TestAllBreakReleasesCampaign(t *testing.T) {
+	s, err := NewSession(context.Background(), WithScenario(MustLookupScenario("small")))
+	if err != nil {
+		t.Fatalf("NewSession: %v", err)
+	}
+	var builds atomic.Int32
+	orig := newReplicaWorld
+	newReplicaWorld = func(cfg ispnet.Config) *ispnet.World {
+		builds.Add(1)
+		return orig(cfg)
+	}
+	defer func() { newReplicaWorld = orig }()
+	campaign := Campaign{
+		Domains:      s.PBWDomains()[:64],
+		Measurements: []Measurement{HTTP()},
+	}
+	vantages := WithVantages("Airtel", "Idea", "Vodafone")
+
+	before := runtime.NumGoroutine()
+	stream, err := s.Run(context.Background(), campaign, vantages, WithWorkers(2))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	n := 0
+	for _, err := range stream.All() {
+		if err != nil {
+			t.Fatalf("All yielded %v before the break", err)
+		}
+		n++
+		break
+	}
+	if n != 1 {
+		t.Fatalf("got %d results before the break, want 1", n)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines running after the break, want at most %d", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	// Every world the first run built is parked again, so a run with as
+	// many workers builds none.
+	built := builds.Load()
+	stream, err = s.Run(context.Background(), Campaign{
+		Domains:      campaign.Domains[:2],
+		Measurements: campaign.Measurements,
+	}, vantages, WithWorkers(int(built)))
+	if err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if _, err := stream.Collect(); err != nil {
+		t.Fatalf("second Collect: %v", err)
+	}
+	if got := builds.Load() - built; got != 0 {
+		t.Errorf("second run built %d worlds, want 0: the break left replicas unparked", got)
 	}
 }
 

@@ -13,16 +13,16 @@ import (
 // errSinkBoom is the mid-stream failure the drain tests inject.
 var errSinkBoom = errors.New("sink boom")
 
-// failSink fails every Write after the first `after` successes and
+// failSink fails every WriteBatch after the first `after` successes and
 // records whether Flush ran.
 type failSink struct {
-	after, writes int
-	flushed       bool
+	after, batches int
+	flushed        bool
 }
 
-func (s *failSink) Write(Result) error {
-	s.writes++
-	if s.writes > s.after {
+func (s *failSink) WriteBatch([]Result) error {
+	s.batches++
+	if s.batches > s.after {
 		return errSinkBoom
 	}
 	return nil
@@ -33,14 +33,22 @@ func (s *failSink) Flush() error {
 	return nil
 }
 
-// countSink records writes and flushes.
+// countSink tallies batches and results and records Flush.
 type countSink struct {
-	writes  int
-	flushed bool
+	batches, results int
+	flushed          bool
 }
 
-func (s *countSink) Write(Result) error { s.writes++; return nil }
-func (s *countSink) Flush() error       { s.flushed = true; return nil }
+func (s *countSink) WriteBatch(rs []Result) error {
+	s.batches++
+	s.results += len(rs)
+	return nil
+}
+
+func (s *countSink) Flush() error {
+	s.flushed = true
+	return nil
+}
 
 // drainGuarded runs Drain with a deadlock guard: the failure paths must
 // terminate, not hang behind blocked workers.
@@ -57,9 +65,9 @@ func drainGuarded(t *testing.T, st *Stream, sinks ...Sink) error {
 	}
 }
 
-// TestDrainSinkError: a sink whose Write fails mid-stream must cancel
-// the campaign, terminate the drain, flush every sibling sink, and
-// surface the sink's error — not the induced cancellation.
+// TestDrainSinkError: a sink whose WriteBatch fails mid-stream must
+// cancel the campaign, terminate the drain, flush every sibling sink,
+// and surface the sink's error — not the induced cancellation.
 func TestDrainSinkError(t *testing.T) {
 	s := session(t)
 	stream, err := s.Run(context.Background(), Campaign{
@@ -69,7 +77,7 @@ func TestDrainSinkError(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	fail := &failSink{after: 3}
+	fail := &failSink{after: 1}
 	sibling := &countSink{}
 	err = drainGuarded(t, stream, fail, sibling)
 	if !errors.Is(err, errSinkBoom) {
@@ -78,10 +86,32 @@ func TestDrainSinkError(t *testing.T) {
 	if !fail.flushed || !sibling.flushed {
 		t.Errorf("flush skipped on the error path: fail=%v sibling=%v", fail.flushed, sibling.flushed)
 	}
-	// The sibling saw exactly the successful writes: Drain stops fanning
-	// out a result once a sink has rejected it.
-	if sibling.writes != fail.after {
-		t.Errorf("sibling sink got %d writes, want %d", sibling.writes, fail.after)
+}
+
+// TestDrainBatchedSinkError pins the batch-boundary semantics. The
+// batch is the delivery unit: a sink failing on batch N stops the
+// fan-out at that batch boundary, so its siblings never see batch N,
+// and every sink is still flushed.
+func TestDrainBatchedSinkError(t *testing.T) {
+	s := session(t)
+	stream, err := s.Run(context.Background(), Campaign{
+		Domains:      s.PBWDomains()[:16],
+		Measurements: []Measurement{DNS(), HTTP()},
+	}, WithVantages("Airtel", "Idea", "Vodafone"))
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	fail := &failSink{after: 2}
+	sibling := &countSink{}
+	if err := drainGuarded(t, stream, fail, sibling); !errors.Is(err, errSinkBoom) {
+		t.Fatalf("Drain returned %v, want the sink error", err)
+	}
+	// The failing sink rejected batch 3 before the sibling saw it.
+	if sibling.batches != fail.after {
+		t.Errorf("sibling saw %d batches, want %d", sibling.batches, fail.after)
+	}
+	if !sibling.flushed {
+		t.Error("sibling sink was not flushed after the failure")
 	}
 }
 

@@ -131,9 +131,11 @@ func TestExternalDetectorThroughSinks(t *testing.T) {
 
 	// Aggregate: tallies match a direct count over the JSONL records.
 	agg := NewAggregateSink()
+	if err := agg.WriteBatch(results); err != nil {
+		t.Fatalf("aggregate: %v", err)
+	}
 	blocked := map[string]int{}
 	for _, r := range results {
-		agg.Write(r)
 		if r.Blocked {
 			blocked[r.Vantage]++
 		}

@@ -180,21 +180,6 @@ func TestScenarioVantages(t *testing.T) {
 	}
 }
 
-// TestWithScaleShim: the deprecated WithScale is exactly the presets.
-func TestWithScaleShim(t *testing.T) {
-	//lint:ignore SA1019 the deprecated shim is exactly what this test pins
-	s, err := NewSession(context.Background(), WithScale(ScaleSmall))
-	if err != nil {
-		t.Fatalf("NewSession(WithScale): %v", err)
-	}
-	if got := s.Scenario().Name; got != "small" {
-		t.Errorf("WithScale(ScaleSmall) scenario = %q, want small", got)
-	}
-	if got, want := s.Vantages(), StudyISPs; !reflect.DeepEqual(got, want) {
-		t.Errorf("WithScale vantages = %v, want %v", got, want)
-	}
-}
-
 // TestPooledCampaignDeterminism is the pooling regression of the
 // determinism contract, on a non-paper preset: workers=1 reuses one world
 // for every task, workers=8 builds eight, and a fresh-world-per-task run

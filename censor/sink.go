@@ -11,43 +11,34 @@ import (
 	"sync"
 )
 
-// Sink consumes a campaign's Result stream.
+// Sink consumes a campaign's results one task batch at a time.
 //
-// Concurrency contract: campaigns deliver results to sinks in the
-// stream's deterministic order (Stream.Drain), one result at a time from
-// a single goroutine, and Flush once the stream is done — Drain
+// Concurrency contract: Stream.Drain hands each task's results to every
+// sink as one WriteBatch call, in the stream's deterministic order, from
+// a single goroutine, and calls Flush once the stream is done — Drain
 // serializes all writes, so sinks written only through Drain need no
 // internal locking. JSONLSink and CSVSink rely on exactly that and are
 // NOT safe for concurrent use from multiple goroutines. AggregateSink
-// locks anyway, so it can also fold results written concurrently from
-// application code; monitor.Store makes the same promise and further
-// allows queries concurrent with writes.
+// locks anyway, so it can also fold batches written concurrently from
+// application code; monitor's run sinks make the same promise and
+// further allow queries concurrent with writes. A caller holding a
+// single result passes a one-element slice.
+//
+// WriteBatch must NOT retain the slice: the stream clears and reuses the
+// backing array as soon as WriteBatch returns. Copy the Result values out
+// (they are plain values; copying one is safe) if the sink keeps them, as
+// monitor.Store does.
 type Sink interface {
-	// Write consumes one result.
-	Write(Result) error
-	// Flush finalizes buffered output after the last Write.
+	// WriteBatch consumes one task's results, in order.
+	WriteBatch([]Result) error
+	// Flush finalizes buffered output after the last batch.
 	Flush() error
 }
 
-// BatchSink is the optional batch face of a Sink. Campaign streams move
-// whole task batches internally; when every sink handed to Stream.Drain
-// implements BatchSink, each batch is delivered with a single WriteBatch
-// call instead of one Write per result — one lock round-trip, one
-// dispatch, per task.
-//
-// Contract: WriteBatch must consume the batch equivalently to calling
-// Write on each element in order (output bytes are asserted identical by
-// the byte-identity tests), and it must NOT retain the slice — the
-// stream clears and reuses the backing array as soon as WriteBatch
-// returns. Copy the Result values out (they are plain values; copying
-// one is safe) if the sink keeps them, as monitor.Store does. The
-// serialization contract is unchanged: Drain calls WriteBatch from a
-// single goroutine, one batch at a time.
-type BatchSink interface {
-	Sink
-	// WriteBatch consumes one task's results, in order.
-	WriteBatch([]Result) error
-}
+// BatchSink is Sink under its earlier name. It exists only because the
+// benchmark module in bench/ embeds it (timedSink in bench/campaign.go)
+// and must build against this API and the one before it; use Sink.
+type BatchSink = Sink
 
 // ------------------------------------------------------------------ JSONL
 
@@ -62,14 +53,6 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 	return &JSONLSink{enc: json.NewEncoder(w)}
 }
 
-// Write encodes one result as a JSON line.
-func (s *JSONLSink) Write(r Result) error {
-	if err := s.enc.Encode(&r); err != nil {
-		return fmt.Errorf("censor: jsonl: %w", err)
-	}
-	return nil
-}
-
 // WriteBatch encodes one task's results, one JSON line each.
 func (s *JSONLSink) WriteBatch(rs []Result) error {
 	for i := range rs {
@@ -80,7 +63,7 @@ func (s *JSONLSink) WriteBatch(rs []Result) error {
 	return nil
 }
 
-// Flush is a no-op: every Write is already complete output.
+// Flush is a no-op: every WriteBatch is already complete output.
 func (s *JSONLSink) Flush() error { return nil }
 
 // -------------------------------------------------------------------- CSV
@@ -104,38 +87,32 @@ func NewCSVSink(w io.Writer) *CSVSink {
 	return &CSVSink{w: csv.NewWriter(w)}
 }
 
-// Write appends one CSV record (and the header before the first one).
-func (s *CSVSink) Write(r Result) error {
+// WriteBatch appends one CSV record per result (and the header before
+// the first one).
+func (s *CSVSink) WriteBatch(rs []Result) error {
 	if err := s.writeHeader(); err != nil {
 		return err
 	}
-	diff := ""
-	if r.Diff != 0 {
-		diff = strconv.FormatFloat(r.Diff, 'g', -1, 64)
-	}
-	detail := ""
-	if r.Detail != nil {
-		b, err := json.Marshal(r.Detail)
-		if err != nil {
-			return fmt.Errorf("censor: csv: detail: %w", err)
-		}
-		detail = string(b)
-	}
-	rec := []string{
-		r.Vantage, r.Measurement, r.Domain, strconv.FormatBool(r.Blocked),
-		r.Mechanism, r.Censor, diff, strings.Join(r.Addrs, " "), r.Error, detail,
-	}
-	if err := s.w.Write(rec); err != nil {
-		return fmt.Errorf("censor: csv: %w", err)
-	}
-	return nil
-}
-
-// WriteBatch appends one task's results as CSV records.
-func (s *CSVSink) WriteBatch(rs []Result) error {
 	for i := range rs {
-		if err := s.Write(rs[i]); err != nil {
-			return err
+		r := &rs[i]
+		diff := ""
+		if r.Diff != 0 {
+			diff = strconv.FormatFloat(r.Diff, 'g', -1, 64)
+		}
+		detail := ""
+		if r.Detail != nil {
+			b, err := json.Marshal(r.Detail)
+			if err != nil {
+				return fmt.Errorf("censor: csv: detail: %w", err)
+			}
+			detail = string(b)
+		}
+		rec := []string{
+			r.Vantage, r.Measurement, r.Domain, strconv.FormatBool(r.Blocked),
+			r.Mechanism, r.Censor, diff, strings.Join(r.Addrs, " "), r.Error, detail,
+		}
+		if err := s.w.Write(rec); err != nil {
+			return fmt.Errorf("censor: csv: %w", err)
 		}
 	}
 	return nil
@@ -296,32 +273,21 @@ func NewAggregateSink() *AggregateSink {
 	return &AggregateSink{tallies: map[string]*Tally{}}
 }
 
-// Write folds one result into its vantage's tally.
-func (s *AggregateSink) Write(r Result) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.writeLocked(r)
-	return nil
-}
-
-// WriteBatch folds one task's results under a single lock round-trip.
+// WriteBatch folds one task's results into their vantages' tallies under
+// a single lock round-trip.
 func (s *AggregateSink) WriteBatch(rs []Result) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range rs {
-		s.writeLocked(rs[i])
+		t, ok := s.tallies[rs[i].Vantage]
+		if !ok {
+			t = newTally()
+			s.tallies[rs[i].Vantage] = t
+			s.vantages = append(s.vantages, rs[i].Vantage)
+		}
+		t.Add(rs[i])
 	}
 	return nil
-}
-
-func (s *AggregateSink) writeLocked(r Result) {
-	t, ok := s.tallies[r.Vantage]
-	if !ok {
-		t = newTally()
-		s.tallies[r.Vantage] = t
-		s.vantages = append(s.vantages, r.Vantage)
-	}
-	t.Add(r)
 }
 
 // Flush is a no-op; the aggregate lives in memory until read.

@@ -27,10 +27,12 @@
 // tasks) worlds, and usually none after the first run. The stable-order
 // merger moves whole task batches, not results: one channel send per
 // task, emitted slots nilled and recycled through a per-stream free
-// list, and Stream.Drain delivering each batch to sinks that implement
-// the optional BatchSink interface in a single WriteBatch call — so
-// result storage stays O(workers) and allocations stay flat as workers
-// grow, without loosening the byte-identity contract.
+// list. Streams have one delivery path: Stream.All ranges over the
+// batches result by result, and Stream.Drain hands each batch to every
+// censor.Sink in a single WriteBatch call — the only method a sink
+// writes through — so result storage stays O(workers) and allocations
+// stay flat as workers grow, without loosening the byte-identity
+// contract.
 //
 // Scenarios can seat synthetic user populations (internal/trafficgen):
 // per-ISP PopulationSpecs — user counts, DNS/HTTP/HTTPS request mix,
@@ -83,9 +85,9 @@
 //     make([]byte), and no fmt or string concatenation (hotpathalloc).
 //   - Value-only timers: *sim.Timer never appears; the generation-counted
 //     handle is copied, and Stop on a stale copy is safe (timerbyvalue).
-//   - Serialized sinks: censor.Sink.Write and censor.BatchSink.WriteBatch
-//     implementations spawn no goroutines and mutate no package-level
-//     state — Stream.Drain is the serialization point (sinkcontract).
+//   - Serialized sinks: censor.Sink.WriteBatch implementations spawn no
+//     goroutines and mutate no package-level state — Stream.Drain is the
+//     serialization point (sinkcontract).
 //   - Clean surface: no repro/internal type appears in the exported API
 //     of censor, monitor or netbridge, except the waived oracle and
 //     bridge hatches (apisurface).

@@ -69,7 +69,11 @@ func main() {
 		os.Exit(1)
 	}
 	poisoned := map[string]int{}
-	for res := range stream.Results() {
+	for res, err := range stream.All() {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "dns_poisoning: %v\n", err)
+			os.Exit(1)
+		}
 		if res.Blocked {
 			poisoned[res.Vantage]++
 		}

@@ -74,10 +74,14 @@ func main() {
 		Blocked: true, Mechanism: censor.MechanismNotification, Censor: "Idea",
 	})
 	sink := store.Begin("small", "replay")
-	for _, r := range churned {
-		sink.Write(r) //nolint:errcheck // open run, synthetic data
+	if err := sink.WriteBatch(churned); err != nil {
+		fmt.Fprintf(os.Stderr, "observatory: %v\n", err)
+		os.Exit(1)
 	}
-	sink.Flush() //nolint:errcheck
+	if err := sink.Flush(); err != nil {
+		fmt.Fprintf(os.Stderr, "observatory: %v\n", err)
+		os.Exit(1)
+	}
 
 	// Delta-since-run: per-vantage blocked-domain churn between epochs.
 	delta, err := store.DeltaSince(first.Run, sink.Run())

@@ -36,7 +36,11 @@ func main() {
 		os.Exit(1)
 	}
 	blocked := 0
-	for res := range stream.Results() {
+	for res, err := range stream.All() {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
+			os.Exit(1)
+		}
 		switch {
 		case res.Blocked && res.Mechanism == censor.MechanismNotification:
 			fmt.Printf("  BLOCKED   %-28s (notification from %s)\n", res.Domain, res.Censor)
@@ -49,10 +53,6 @@ func main() {
 		default:
 			fmt.Printf("  ok        %-28s (diff %.2f)\n", res.Domain, res.Diff)
 		}
-	}
-	if err := stream.Err(); err != nil {
-		fmt.Fprintf(os.Stderr, "quickstart: %v\n", err)
-		os.Exit(1)
 	}
 	fmt.Printf("\n%d of 25 confirmed blocked.\n", blocked)
 

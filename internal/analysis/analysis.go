@@ -21,7 +21,7 @@
 //     strings, or make non-pooled []byte buffers.
 //   - timerbyvalue: sim.Timer is a generation-counted value handle and
 //     must never be used through a pointer.
-//   - sinkcontract: censor.Sink.Write implementations must not spawn
+//   - sinkcontract: censor.Sink.WriteBatch implementations must not spawn
 //     goroutines or mutate package-level state — Stream.Drain serializes
 //     writes.
 //   - apisurface: the public censor, monitor, and netbridge packages must

@@ -1,15 +1,11 @@
 // Package sinkcontract enforces the Drain-serializes contract on
-// censor.Sink implementations: Stream.Drain delivers results one at a
-// time from a single goroutine, which is the only reason JSONLSink and
-// CSVSink need no locks. A Write that spawns goroutines re-introduces
-// the concurrency Drain exists to remove (and races the Flush that
-// follows the last Write); a Write that mutates package-level state
-// shares it with every other sink instance and campaign in the process.
-//
-// The same contract covers the batch path: censor.BatchSink's
-// WriteBatch is called from the same single Drain goroutine, one task
-// batch at a time, so WriteBatch implementations are held to the same
-// no-goroutine / no-package-level-mutation rules as Write.
+// censor.Sink implementations: Stream.Drain hands each task's results to
+// WriteBatch from a single goroutine, one batch at a time, which is the
+// only reason JSONLSink and CSVSink need no locks. A WriteBatch that
+// spawns goroutines re-introduces the concurrency Drain exists to remove
+// (and races the Flush that follows the last batch); a WriteBatch that
+// mutates package-level state shares it with every other sink instance
+// and campaign in the process.
 package sinkcontract
 
 import (
@@ -24,38 +20,21 @@ var Analyzer = &analysis.Analyzer{
 	Name: "sinkcontract",
 	Key:  "sink",
 	Doc: "forbid goroutine spawns and package-level mutation inside " +
-		"censor.Sink Write and censor.BatchSink WriteBatch implementations " +
-		"(Stream.Drain serializes both)",
+		"censor.Sink WriteBatch implementations (Stream.Drain serializes them)",
 	Run: run,
 }
 
 const censorPkgPath = "repro/censor"
 
 func run(pass *analysis.Pass) error {
-	sink := sinkInterface(pass.Pkg, "Sink")
+	sink := sinkInterface(pass.Pkg)
 	if sink == nil {
 		return nil
 	}
-	// BatchSink postdates Sink; resolve it independently so the analyzer
-	// degrades to Write-only checking against an older censor package.
-	batch := sinkInterface(pass.Pkg, "BatchSink")
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil {
-				continue
-			}
-			var iface *types.Interface
-			var label string
-			switch fd.Name.Name {
-			case "Write":
-				iface, label = sink, "Sink.Write"
-			case "WriteBatch":
-				iface, label = batch, "BatchSink.WriteBatch"
-			default:
-				continue
-			}
-			if iface == nil {
+			if !ok || fd.Body == nil || fd.Recv == nil || fd.Name.Name != "WriteBatch" {
 				continue
 			}
 			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
@@ -63,19 +42,18 @@ func run(pass *analysis.Pass) error {
 				continue
 			}
 			recv := obj.Type().(*types.Signature).Recv()
-			if recv == nil || !implementsSink(recv.Type(), iface) {
+			if recv == nil || !implementsSink(recv.Type(), sink) {
 				continue
 			}
-			checkWrite(pass, fd, label)
+			checkWriteBatch(pass, fd)
 		}
 	}
 	return nil
 }
 
-// sinkInterface resolves the named censor interface (Sink, BatchSink)
-// from the package under analysis or its direct imports; nil when the
-// package cannot implement it.
-func sinkInterface(pkg *types.Package, name string) *types.Interface {
+// sinkInterface resolves censor.Sink from the package under analysis or
+// its direct imports; nil when the package cannot implement it.
+func sinkInterface(pkg *types.Package) *types.Interface {
 	src := pkg
 	if pkg.Path() != censorPkgPath {
 		src = nil
@@ -89,7 +67,7 @@ func sinkInterface(pkg *types.Package, name string) *types.Interface {
 	if src == nil {
 		return nil
 	}
-	tn, ok := src.Scope().Lookup(name).(*types.TypeName)
+	tn, ok := src.Scope().Lookup("Sink").(*types.TypeName)
 	if !ok {
 		return nil
 	}
@@ -109,31 +87,30 @@ func implementsSink(recv types.Type, sink *types.Interface) bool {
 	return false
 }
 
-// checkWrite walks one Write or WriteBatch implementation, including
-// nested func literals, for contract violations. label names the
-// interface method in diagnostics ("Sink.Write", "BatchSink.WriteBatch").
-func checkWrite(pass *analysis.Pass, fd *ast.FuncDecl, label string) {
+// checkWriteBatch walks one WriteBatch implementation, including nested
+// func literals, for contract violations.
+func checkWriteBatch(pass *analysis.Pass, fd *ast.FuncDecl) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "%s spawns a goroutine; Drain serializes writes and Flush follows the last Write — finish the work inline", label)
+			pass.Reportf(n.Pos(), "Sink.WriteBatch spawns a goroutine; Drain serializes writes and Flush follows the last batch — finish the work inline")
 		case *ast.CallExpr:
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "AfterFunc" {
 				if obj, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func); ok && obj.Pkg() != nil {
 					if p := obj.Pkg().Path(); p == "time" || p == "context" {
-						pass.Reportf(n.Pos(), "%s.AfterFunc inside %s runs its callback on a new goroutine after Drain has moved on", obj.Pkg().Name(), label)
+						pass.Reportf(n.Pos(), "%s.AfterFunc inside Sink.WriteBatch runs its callback on a new goroutine after Drain has moved on", obj.Pkg().Name())
 					}
 				}
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
 				if v := packageLevelTarget(pass, lhs); v != nil {
-					pass.Reportf(lhs.Pos(), "%s mutates package-level %s; sink state must live on the sink instance", label, v.Name())
+					pass.Reportf(lhs.Pos(), "Sink.WriteBatch mutates package-level %s; sink state must live on the sink instance", v.Name())
 				}
 			}
 		case *ast.IncDecStmt:
 			if v := packageLevelTarget(pass, n.X); v != nil {
-				pass.Reportf(n.X.Pos(), "%s mutates package-level %s; sink state must live on the sink instance", label, v.Name())
+				pass.Reportf(n.X.Pos(), "Sink.WriteBatch mutates package-level %s; sink state must live on the sink instance", v.Name())
 			}
 		}
 		return true

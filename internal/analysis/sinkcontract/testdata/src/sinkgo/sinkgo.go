@@ -1,6 +1,6 @@
-// Package sinkgo is the sinkcontract fixture: Sink implementations that
-// break the Drain-serializes contract, next to a compliant one and a
-// Write method on a type that is not a Sink at all.
+// Package sinkgo is the sinkcontract fixture: Sink implementations whose
+// WriteBatch breaks the Drain-serializes contract, next to a compliant
+// one and a WriteBatch method on a type that is not a Sink at all.
 package sinkgo
 
 import (
@@ -17,12 +17,12 @@ type asyncSink struct {
 	n int
 }
 
-func (s *asyncSink) Write(r censor.Result) error {
-	go func() { // want `Sink.Write spawns a goroutine`
-		s.n++
+func (s *asyncSink) WriteBatch(rs []censor.Result) error {
+	go func() { // want `Sink.WriteBatch spawns a goroutine`
+		s.n += len(rs)
 	}()
-	time.AfterFunc(time.Millisecond, s.flush) // want `time.AfterFunc inside Sink.Write`
-	total++                                   // want `mutates package-level total`
+	time.AfterFunc(time.Millisecond, s.flush) // want `time.AfterFunc inside Sink.WriteBatch`
+	total += len(rs)                          // want `Sink.WriteBatch mutates package-level total`
 	return nil
 }
 
@@ -32,26 +32,28 @@ func (s *asyncSink) flush() {}
 
 // countSink keeps all state on the instance: allowed.
 type countSink struct {
-	n     int
-	byDom map[string]int
+	batches int
+	byDom   map[string]int
 }
 
-func (s *countSink) Write(r censor.Result) error {
-	s.n++
+func (s *countSink) WriteBatch(rs []censor.Result) error {
+	s.batches++
 	if s.byDom == nil {
 		s.byDom = make(map[string]int)
 	}
-	s.byDom[r.Domain]++
+	for _, r := range rs {
+		s.byDom[r.Domain]++
+	}
 	return nil
 }
 
 func (s *countSink) Flush() error { return nil }
 
-// notASink has a Write method but no Flush, so it does not implement
-// censor.Sink and the contract does not apply.
+// notASink has a WriteBatch method but no Flush, so it does not
+// implement censor.Sink and the contract does not apply.
 type notASink struct{}
 
-func (notASink) Write(r censor.Result) error {
+func (notASink) WriteBatch(rs []censor.Result) error {
 	go func() {}()
 	total++
 	return nil
@@ -60,56 +62,10 @@ func (notASink) Write(r censor.Result) error {
 // waivedSink shows the escape hatch with its mandatory reason.
 type waivedSink struct{}
 
-func (waivedSink) Write(r censor.Result) error {
+func (waivedSink) WriteBatch(rs []censor.Result) error {
 	//repolint:allow sink -- exercising the waiver path in the fixture
 	go func() {}()
 	return nil
 }
 
 func (waivedSink) Flush() error { return nil }
-
-// asyncBatchSink implements censor.BatchSink; its WriteBatch breaks the
-// same contract Write is held to.
-type asyncBatchSink struct {
-	n int
-}
-
-func (s *asyncBatchSink) Write(r censor.Result) error { return nil }
-
-func (s *asyncBatchSink) WriteBatch(rs []censor.Result) error {
-	go func() { // want `BatchSink.WriteBatch spawns a goroutine`
-		s.n += len(rs)
-	}()
-	time.AfterFunc(time.Millisecond, s.flush) // want `time.AfterFunc inside BatchSink.WriteBatch`
-	total += len(rs)                          // want `BatchSink.WriteBatch mutates package-level total`
-	return nil
-}
-
-func (s *asyncBatchSink) Flush() error { return nil }
-
-func (s *asyncBatchSink) flush() {}
-
-// batchCountSink keeps all state on the instance: allowed on both faces.
-type batchCountSink struct {
-	n, batches int
-}
-
-func (s *batchCountSink) Write(r censor.Result) error { s.n++; return nil }
-
-func (s *batchCountSink) WriteBatch(rs []censor.Result) error {
-	s.batches++
-	s.n += len(rs)
-	return nil
-}
-
-func (s *batchCountSink) Flush() error { return nil }
-
-// notABatchSink has a WriteBatch method but no Write/Flush, so it does
-// not implement censor.BatchSink and the contract does not apply.
-type notABatchSink struct{}
-
-func (notABatchSink) WriteBatch(rs []censor.Result) error {
-	go func() {}()
-	total++
-	return nil
-}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/httpwire"
 	"repro/internal/websim"
+	"repro/obs"
 )
 
 // findEvictionTarget picks a blocklisted, genuinely-hosted domain whose
@@ -106,9 +107,11 @@ func TestLoadDependentEvictionMiss(t *testing.T) {
 	// Loaded world: background churn evicts the dallying flow, the box no
 	// longer recognizes the connection, and the real page comes back.
 	stream, reset := dallyFetch(loaded, domain, addr, dally)
-	evictions := box.Evictions()
+	evicted := loaded.Obs().Counter(obs.Name("middlebox_flow_evictions_total", "box", box.ID))
+	occupancy := loaded.Obs().Gauge(obs.Name("middlebox_flow_occupancy", "box", box.ID))
+	evictions := evicted.Value()
 	if evictions == 0 {
-		t.Fatalf("background load drove no evictions through %s (len %d)", box.ID, box.FlowLen())
+		t.Fatalf("background load drove no evictions through %s (len %d)", box.ID, occupancy.Value())
 	}
 	if strings.Contains(string(stream), marker) {
 		t.Fatalf("loaded world: censor still triggered on %s despite churn (evictions %d)", domain, evictions)
@@ -125,7 +128,7 @@ func TestLoadDependentEvictionMiss(t *testing.T) {
 	if !bytes.Equal(stream, stream2) {
 		t.Fatalf("reset world diverged: %d vs %d stream bytes", len(stream), len(stream2))
 	}
-	if e2 := box.Evictions(); e2 != evictions {
+	if e2 := evicted.Value(); e2 != evictions {
 		t.Fatalf("reset world eviction count diverged: %d vs %d", evictions, e2)
 	}
 }

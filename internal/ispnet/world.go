@@ -87,23 +87,6 @@ func (b *BoxRef) Triggers() int {
 	return b.IM.Triggers
 }
 
-// Evictions returns how many live flows the box's bounded flow table has
-// displaced under capacity pressure since the last reset.
-func (b *BoxRef) Evictions() uint64 {
-	if b.WM != nil {
-		return b.WM.Evictions()
-	}
-	return b.IM.Evictions()
-}
-
-// FlowLen returns the box's current flow-table occupancy.
-func (b *BoxRef) FlowLen() int {
-	if b.WM != nil {
-		return b.WM.Len()
-	}
-	return b.IM.Len()
-}
-
 // ISP is one built network operator.
 type ISP struct {
 	Profile

@@ -19,6 +19,17 @@ func testFlowTable(timeout time.Duration, capacity int, now func() sim.Time) *fl
 		reg.Gauge("middlebox_flow_occupancy"))
 }
 
+// size reads the table's occupancy from its obs gauge — the value the
+// boxes export as middlebox_flow_occupancy — and fails the test when the
+// gauge disagrees with the flow map, whichever path last changed it.
+func size(t *testing.T, tbl *flowTable) int {
+	t.Helper()
+	if got, want := tbl.occupancy.Value(), int64(len(tbl.flows)); got != want {
+		t.Fatalf("occupancy gauge = %d, flow map holds %d", got, want)
+	}
+	return len(tbl.flows)
+}
+
 // ftClock is a hand-cranked clock for driving a flowTable without an engine.
 type ftClock struct{ t sim.Time }
 
@@ -56,8 +67,8 @@ func TestFlowTableIdleExpiry(t *testing.T) {
 	if st, _ := tbl.observe(synPkt(1)); st == nil || !st.synSeen {
 		t.Fatalf("SYN did not create flow state")
 	}
-	if tbl.size() != 1 {
-		t.Fatalf("size = %d, want 1", tbl.size())
+	if size(t, tbl) != 1 {
+		t.Fatalf("size = %d, want 1", size(t, tbl))
 	}
 
 	// Within the timeout the flow is still tracked.
@@ -71,8 +82,8 @@ func TestFlowTableIdleExpiry(t *testing.T) {
 	if st, _ := tbl.observe(ackPkt(1)); st != nil {
 		t.Fatalf("expired flow still tracked")
 	}
-	if tbl.size() != 0 {
-		t.Fatalf("size after expiry = %d, want 0", tbl.size())
+	if size(t, tbl) != 0 {
+		t.Fatalf("size after expiry = %d, want 0", size(t, tbl))
 	}
 	if tbl.evictions.Value() != 0 {
 		t.Fatalf("idle expiry counted as eviction")
@@ -92,13 +103,13 @@ func TestFlowTableReset(t *testing.T) {
 		tbl.observe(synPkt(i))
 		clk.advance(time.Second)
 	}
-	if tbl.size() != 2 || tbl.evictions.Value() != 2 {
-		t.Fatalf("precondition: size=%d evictions=%d, want 2/2", tbl.size(), tbl.evictions.Value())
+	if size(t, tbl) != 2 || tbl.evictions.Value() != 2 {
+		t.Fatalf("precondition: size=%d evictions=%d, want 2/2", size(t, tbl), tbl.evictions.Value())
 	}
 
 	tbl.reset()
-	if tbl.size() != 0 {
-		t.Fatalf("size after reset = %d, want 0", tbl.size())
+	if size(t, tbl) != 0 {
+		t.Fatalf("size after reset = %d, want 0", size(t, tbl))
 	}
 	if tbl.evictions.Value() != 0 {
 		t.Fatalf("evictions survived reset")
@@ -121,8 +132,8 @@ func TestFlowTableCapacityEviction(t *testing.T) {
 		tbl.observe(synPkt(i))
 		clk.advance(time.Second)
 	}
-	if tbl.size() != 3 || tbl.evictions.Value() != 0 {
-		t.Fatalf("fill: size=%d evictions=%d", tbl.size(), tbl.evictions.Value())
+	if size(t, tbl) != 3 || tbl.evictions.Value() != 0 {
+		t.Fatalf("fill: size=%d evictions=%d", size(t, tbl), tbl.evictions.Value())
 	}
 
 	// Touch flow 1 so flow 2 becomes the coldest.
@@ -131,8 +142,8 @@ func TestFlowTableCapacityEviction(t *testing.T) {
 
 	// Admitting flow 4 at capacity evicts the LRU victim: flow 2.
 	tbl.observe(synPkt(4))
-	if tbl.size() != 3 {
-		t.Fatalf("size after eviction = %d, want 3", tbl.size())
+	if size(t, tbl) != 3 {
+		t.Fatalf("size after eviction = %d, want 3", size(t, tbl))
 	}
 	if tbl.evictions.Value() != 1 {
 		t.Fatalf("evictions = %d, want 1", tbl.evictions.Value())
@@ -179,14 +190,14 @@ func TestFlowTableCapacityPrefersExpired(t *testing.T) {
 	if tbl.evictions.Value() != 0 {
 		t.Fatalf("expired entries counted as capacity evictions: %d", tbl.evictions.Value())
 	}
-	if tbl.size() != 2 {
-		t.Fatalf("size = %d, want 2 (one expired entry dropped for room)", tbl.size())
+	if size(t, tbl) != 2 {
+		t.Fatalf("size = %d, want 2 (one expired entry dropped for room)", size(t, tbl))
 	}
 	if st, _ := tbl.observe(ackPkt(2)); st != nil {
 		t.Fatalf("expired flow 2 still live")
 	}
-	if tbl.size() != 1 {
-		t.Fatalf("size after lazy purge = %d, want 1", tbl.size())
+	if size(t, tbl) != 1 {
+		t.Fatalf("size after lazy purge = %d, want 1", size(t, tbl))
 	}
 }
 
@@ -209,7 +220,7 @@ func TestFlowTableTupleReuseRestartsFlow(t *testing.T) {
 	if st.established || st.synAckSeen {
 		t.Fatalf("stale handshake state leaked into restarted flow")
 	}
-	if tbl.size() != 1 {
-		t.Fatalf("tuple reuse duplicated the flow entry: size=%d", tbl.size())
+	if size(t, tbl) != 1 {
+		t.Fatalf("tuple reuse duplicated the flow entry: size=%d", size(t, tbl))
 	}
 }

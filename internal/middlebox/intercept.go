@@ -54,13 +54,6 @@ func NewInterceptor(net *netsim.Network, cfg Config, overt bool) *Interceptor {
 	return im
 }
 
-// Evictions reports live flows displaced by capacity pressure since the
-// last Reset. It is a shim over the box's obs eviction counter.
-func (im *Interceptor) Evictions() uint64 { return im.tbl.evictions.Value() }
-
-// Len reports the number of currently tracked flows.
-func (im *Interceptor) Len() int { return im.tbl.size() }
-
 // Reset clears the box's flow table and trigger counters, restoring the
 // just-deployed state for world pooling.
 func (im *Interceptor) Reset() {

@@ -173,9 +173,10 @@ type flowTable struct {
 	capacity   int
 	now        func() sim.Time
 	// evictions and occupancy are obs instruments from the owning world's
-	// registry — the single source of truth the boxes' Evictions()/Len()
-	// accessors now read through. Both count virtual events only, so their
-	// values are deterministic; nil instruments are no-ops.
+	// registry, exported per box as middlebox_flow_evictions_total and
+	// middlebox_flow_occupancy. Both count virtual events only, so their
+	// values are deterministic; nil instruments are no-ops. Every insert
+	// and removal path sets occupancy to len(flows).
 	evictions *obs.Counter
 	occupancy *obs.Gauge
 }
@@ -208,8 +209,6 @@ func (t *flowTable) reset() {
 	t.evictions.Reset()
 	t.occupancy.Set(0)
 }
-
-func (t *flowTable) size() int { return len(t.flows) }
 
 // unlink removes a slot from the LRU list.
 //

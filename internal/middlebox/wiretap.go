@@ -75,13 +75,6 @@ func NewWiretap(net *netsim.Network, cfg Config, lossProb float64) *Wiretap {
 	return w
 }
 
-// Evictions reports live flows displaced by capacity pressure since the
-// last Reset. It is a shim over the box's obs eviction counter.
-func (w *Wiretap) Evictions() uint64 { return w.tbl.evictions.Value() }
-
-// Len reports the number of currently tracked flows.
-func (w *Wiretap) Len() int { return w.tbl.size() }
-
 // Reset clears the box's flow table and trigger counters, restoring the
 // just-deployed state for world pooling.
 func (w *Wiretap) Reset() {

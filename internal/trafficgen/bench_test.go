@@ -23,9 +23,9 @@ func BenchmarkBackgroundLoad(b *testing.B) {
 			}
 			b.StopTimer()
 			virtual := float64(b.N) + 3
-			b.ReportMetric(float64(w.gen.Flows())/virtual, "flows/vsec")
-			b.ReportMetric(float64(w.box.Evictions()), "evictions")
-			b.ReportMetric(float64(w.box.Len()), "flowtable")
+			b.ReportMetric(float64(w.flows.Value())/virtual, "flows/vsec")
+			b.ReportMetric(float64(w.evictions.Value()), "evictions")
+			b.ReportMetric(float64(w.occupancy.Value()), "flowtable")
 		})
 	}
 }

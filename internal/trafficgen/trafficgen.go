@@ -217,10 +217,6 @@ func New(eng *sim.Engine, targets []Target, isps []ISPConfig) *Generator {
 // Users returns the total seated population.
 func (g *Generator) Users() int { return g.users }
 
-// Flows returns the number of flow attempts completed or abandoned since
-// the last Start. It is a shim over the generator's obs flow counter.
-func (g *Generator) Flows() uint64 { return g.cFlows.Value() }
-
 // Start rewinds every user to idle and primes one staggered wake per user
 // from the engine RNG. It runs once at the end of world construction and
 // once at the end of every World.Reset; because the engine RNG is freshly

@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/trafficgen"
+	"repro/obs"
 )
 
 // loadWorld is a minimal two-router world for exercising the generator in
@@ -24,6 +25,11 @@ type loadWorld struct {
 	gen  *trafficgen.Generator
 	box  *middlebox.Interceptor
 	sink netip.Addr
+	// flows, evictions and occupancy are the generator's and the box's
+	// instruments in the engine registry, read the way operators scrape
+	// them.
+	flows, evictions *obs.Counter
+	occupancy        *obs.Gauge
 }
 
 func buildLoadWorld(tb testing.TB, hosts, users int) *loadWorld {
@@ -71,7 +77,13 @@ func buildLoadWorld(tb testing.TB, hosts, users int) *loadWorld {
 	}})
 	net.MarkBaseline()
 	gen.Start()
-	return &loadWorld{eng: eng, gen: gen, box: box, sink: sink}
+	reg := eng.Obs()
+	return &loadWorld{
+		eng: eng, gen: gen, box: box, sink: sink,
+		flows:     reg.Counter("trafficgen_flows_total"),
+		evictions: reg.Counter(obs.Name("middlebox_flow_evictions_total", "box", "loadbox")),
+		occupancy: reg.Gauge(obs.Name("middlebox_flow_occupancy", "box", "loadbox")),
+	}
 }
 
 // TestBackgroundTickZeroAlloc is the CI gate on the tentpole's hot-path
@@ -84,11 +96,11 @@ func TestBackgroundTickZeroAlloc(t *testing.T) {
 	// Warm: two full deadline cycles seed the timer arena, the flow
 	// table's slot arena and every per-user packet.
 	w.eng.RunFor(6 * time.Second)
-	if w.gen.Flows() == 0 {
+	if w.flows.Value() == 0 {
 		t.Fatalf("warmup drove no flows")
 	}
-	if w.box.Evictions() == 0 {
-		t.Fatalf("warmup churned no flow-table capacity (box len %d)", w.box.Len())
+	if w.evictions.Value() == 0 {
+		t.Fatalf("warmup churned no flow-table capacity (box len %d)", w.occupancy.Value())
 	}
 
 	allocs := testing.AllocsPerRun(10, func() {
@@ -105,9 +117,9 @@ func TestBackgroundTickZeroAlloc(t *testing.T) {
 func TestGeneratorRestartDeterminism(t *testing.T) {
 	w := buildLoadWorld(t, 1, 64)
 
-	run := func() (uint64, uint64, int) {
+	run := func() (uint64, uint64, int64) {
 		w.eng.RunFor(5 * time.Second)
-		return w.gen.Flows(), w.box.Evictions(), w.box.Len()
+		return w.flows.Value(), w.evictions.Value(), w.occupancy.Value()
 	}
 	f1, e1, l1 := run()
 	if f1 == 0 {
@@ -132,7 +144,7 @@ func TestUsersSeatedAcrossHosts(t *testing.T) {
 	}
 	// First flows finish only after the 2s flow deadline fires.
 	w.eng.RunFor(3 * time.Second)
-	if w.gen.Flows() == 0 {
+	if w.flows.Value() == 0 {
 		t.Fatalf("multi-host population generated no flows")
 	}
 }

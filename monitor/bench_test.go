@@ -8,8 +8,9 @@ import (
 	"repro/censor"
 )
 
-// BenchmarkStoreIngest prices one result ingestion: ring append plus the
-// write-time roll-ups (run counters, blocked sets, tally fold). Memory
+// BenchmarkStoreIngest prices one result ingestion — a one-element
+// WriteBatch: ring append plus the write-time roll-ups (run counters,
+// blocked sets, tally fold). Memory
 // is bounded by construction — the rings evict, the roll-ups count — so
 // steady-state allocations should stay near zero however long the
 // observatory runs; BENCH_monitor.json records the baseline.
@@ -40,7 +41,8 @@ func BenchmarkStoreIngest(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sink.Write(results[i%len(results)]); err != nil {
+		j := i % len(results)
+		if err := sink.WriteBatch(results[j : j+1]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -86,7 +88,8 @@ func BenchmarkStoreIngestParallel(b *testing.B) {
 		sink := store.Begin(fmt.Sprintf("bench-%d", id), "bench")
 		i := 0
 		for pb.Next() {
-			if err := sink.Write(results[i%len(results)]); err != nil {
+			j := i % len(results)
+			if err := sink.WriteBatch(results[j : j+1]); err != nil {
 				b.Error(err)
 				return
 			}
@@ -97,9 +100,9 @@ func BenchmarkStoreIngestParallel(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "results/s")
 }
 
-// BenchmarkStoreIngestBatch prices the batched path a BatchSink drain
-// takes: whole task slices per WriteBatch call, one run-lock round-trip
-// and (per key group) one shard lock each.
+// BenchmarkStoreIngestBatch prices the path a campaign drain takes:
+// whole task slices per WriteBatch call, one run-lock round-trip and
+// (per key group) one shard lock each.
 func BenchmarkStoreIngestBatch(b *testing.B) {
 	store := NewStore(WithRingSize(512))
 	sink := store.Begin("bench", "bench")

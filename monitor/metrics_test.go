@@ -22,8 +22,8 @@ func TestMetricsEndpoint(t *testing.T) {
 
 	sink := store.Begin("small", "test")
 	for i := 0; i < 3; i++ {
-		if err := sink.Write(censor.Result{Vantage: "Airtel", Measurement: "dns", Domain: "x.example", Blocked: true}); err != nil {
-			t.Fatalf("Write: %v", err)
+		if err := sink.WriteBatch([]censor.Result{{Vantage: "Airtel", Measurement: "dns", Domain: "x.example", Blocked: true}}); err != nil {
+			t.Fatalf("WriteBatch: %v", err)
 		}
 	}
 	if err := sink.Flush(); err != nil {

@@ -8,12 +8,12 @@
 // measuring and keeps the answers queryable. This package provides that
 // service in three pieces:
 //
-//   - [Store], a concurrency-safe in-memory result store implementing
-//     [censor.Sink] and [censor.BatchSink]. Raw results live in bounded
-//     per-(scenario, vantage, measurement) ring buffers; every ingested
-//     result is also folded into per-run [censor.Tally] roll-ups at
-//     write time, so summary queries never scan raw results. Runs carry
-//     monotonic epochs.
+//   - [Store], a concurrency-safe in-memory result store. Each ingestion
+//     run writes through the [censor.Sink] that [Store.Begin] returns.
+//     Raw results live in bounded per-(scenario, vantage, measurement)
+//     ring buffers; every ingested result is also folded into per-run
+//     [censor.Tally] roll-ups at write time, so summary queries never
+//     scan raw results. Runs carry monotonic epochs.
 //   - [Scheduler], which executes recurring campaigns (per-job cadence
 //     and jitter, context-aware shutdown) against pooled sessions and
 //     ingests each run into the store.
@@ -104,8 +104,7 @@ type RunInfo struct {
 	Run int `json:"run"`
 	// Scenario names the world the results were measured on.
 	Scenario string `json:"scenario"`
-	// Source records who ingested the run ("scheduler", "api", "push",
-	// "direct").
+	// Source records who ingested the run ("scheduler", "api", "push").
 	Source string `json:"source,omitempty"`
 	// Started/Finished bracket the ingestion wall-clock time; Finished is
 	// zero until the run's sink is flushed.
@@ -167,20 +166,19 @@ func (rg *ring) each(fn func(StoredResult)) {
 	}
 }
 
-// Store is the observatory's in-memory result store. It implements
-// censor.Sink and censor.BatchSink (writes land in an implicit "direct"
-// run) and hands out per-run sinks via Begin for callers that manage
-// run boundaries — the Scheduler, the campaign-trigger endpoint, and
-// the batch-push endpoint.
+// Store is the observatory's in-memory result store. Results enter
+// through the per-run sinks Begin hands out — the Scheduler, the
+// campaign-trigger endpoint and the batch-push endpoint each open one
+// per run.
 //
 // Unlike the stream sinks, Store is explicitly safe for concurrent use:
-// any number of goroutines may Write while any number query — Results,
+// any number of goroutines may ingest while any number query — Results,
 // Summary, Runs, DeltaSince all return copies. Locking is sharded so
 // writers scale with cores instead of serializing on one mutex: each
-// write takes its run's lock for the roll-ups and its key shard's lock
-// for the ring append; writers to different runs and different
-// (scenario, vantage, measurement) keys proceed in parallel. Memory is
-// bounded on both axes: raw results by per-key ring buffers
+// batch takes its run's lock once for the roll-ups and one key shard's
+// lock per same-key group of results; writers to different runs and
+// different (scenario, vantage, measurement) keys proceed in parallel.
+// Memory is bounded on both axes: raw results by per-key ring buffers
 // (WithRingSize), roll-ups by run retention (WithRunRetention).
 type Store struct {
 	ringSize int
@@ -203,9 +201,6 @@ type Store struct {
 	cRuns     *obs.Counter
 	cIngested *obs.Counter
 	cEvicted  *obs.Counter
-
-	directMu sync.Mutex
-	direct   *RunSink // implicit run behind the Sink interface
 }
 
 // StoreOption configures a Store.
@@ -265,12 +260,12 @@ func NewStore(opts ...StoreOption) *Store {
 }
 
 // RunSink ingests one run's results into the store. It implements
-// censor.Sink and censor.BatchSink: hand it to Stream.Drain (which
-// delivers whole task batches — one run-lock and usually one shard-lock
-// round-trip per task), or Write from application code — writes are
-// individually locked, so concurrent writers are safe (their
-// interleaving decides sequence numbers). Flush finalizes the run;
-// writes after Flush fail.
+// censor.Sink: hand it to Stream.Drain, which delivers whole task
+// batches — one run-lock and usually one shard-lock round-trip per task
+// — or call WriteBatch from application code, a single result being a
+// one-element batch. Each batch is locked on its own, so concurrent
+// writers are safe (their interleaving decides sequence numbers). Flush
+// finalizes the run; writes after Flush fail.
 type RunSink struct {
 	s   *Store
 	st  *runState
@@ -311,21 +306,6 @@ func (s *Store) Begin(scenario, source string) *RunSink {
 
 // Run returns the sink's run epoch.
 func (rs *RunSink) Run() int { return rs.run }
-
-// Write ingests one result into the sink's run.
-func (rs *RunSink) Write(r censor.Result) error {
-	st := rs.st
-	st.mu.Lock()
-	if st.info.Done {
-		st.mu.Unlock()
-		return fmt.Errorf("monitor: run %d already finished", rs.run)
-	}
-	rollupLocked(st, &r)
-	st.mu.Unlock()
-	st.agg.Write(r) // same fold as a drained AggregateSink
-	rs.s.appendRaw(st.info.Scenario, rs.run, r)
-	return nil
-}
 
 // WriteBatch ingests one task's results: the run roll-ups fold under a
 // single run-lock round-trip, the aggregate under one of its own, and
@@ -375,20 +355,6 @@ func rollupLocked(st *runState, r *censor.Result) {
 	}
 	if r.Error != "" {
 		st.info.Errors++
-	}
-}
-
-// appendRaw lands one result in its key's ring.
-func (s *Store) appendRaw(scenario string, run int, r censor.Result) {
-	k := key{Scenario: scenario, Vantage: r.Vantage, Measurement: r.Measurement}
-	sh := &s.shards[shardFor(k)]
-	sh.mu.Lock()
-	evicted := s.ringAppendLocked(sh, k, run, r)
-	sh.mu.Unlock()
-	if evicted {
-		s.countAppend(1, 1)
-	} else {
-		s.countAppend(1, 0)
 	}
 }
 
@@ -474,43 +440,6 @@ func (s *Store) findRun(run int) *runState {
 		}
 	}
 	return nil
-}
-
-// ------------------------------------------------------- censor.Sink face
-
-// Write implements censor.Sink on the store itself: results land in an
-// implicit run (scenario "", source "direct") opened on first write.
-// Callers that know their run boundaries should prefer Begin.
-func (s *Store) Write(r censor.Result) error {
-	return s.directSink().Write(r)
-}
-
-// WriteBatch implements censor.BatchSink on the store itself, batching
-// into the same implicit run as Write.
-func (s *Store) WriteBatch(rs []censor.Result) error {
-	return s.directSink().WriteBatch(rs)
-}
-
-func (s *Store) directSink() *RunSink {
-	s.directMu.Lock()
-	defer s.directMu.Unlock()
-	if s.direct == nil {
-		s.direct = s.Begin("", "direct")
-	}
-	return s.direct
-}
-
-// Flush finalizes the implicit run opened by Write; the next Write opens
-// a fresh one.
-func (s *Store) Flush() error {
-	s.directMu.Lock()
-	rs := s.direct
-	s.direct = nil
-	s.directMu.Unlock()
-	if rs == nil {
-		return nil
-	}
-	return rs.Flush()
 }
 
 // --------------------------------------------------------------- queries

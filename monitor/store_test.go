@@ -30,6 +30,9 @@ func (c *fakeClock) Now() time.Time {
 	return c.now
 }
 
+// one wraps a single result as the one-element batch WriteBatch takes.
+func one(r censor.Result) []censor.Result { return []censor.Result{r} }
+
 // res builds a synthetic result for store-only tests.
 func res(vantage, measurement, domain string, blocked bool) censor.Result {
 	r := censor.Result{Vantage: vantage, Measurement: measurement, Domain: domain, Blocked: blocked}
@@ -64,8 +67,8 @@ func TestStoreRingEviction(t *testing.T) {
 	store := NewStore(WithRingSize(4), withClock(newFakeClock().Now))
 	sink := store.Begin("s", "test")
 	for i := 0; i < 10; i++ {
-		if err := sink.Write(res("Airtel", "dns", fmt.Sprintf("d%02d.com", i), i%2 == 0)); err != nil {
-			t.Fatalf("Write: %v", err)
+		if err := sink.WriteBatch(one(res("Airtel", "dns", fmt.Sprintf("d%02d.com", i), i%2 == 0))); err != nil {
+			t.Fatalf("WriteBatch: %v", err)
 		}
 	}
 	if err := sink.Flush(); err != nil {
@@ -103,37 +106,14 @@ func TestStoreRingEviction(t *testing.T) {
 	}
 }
 
-func TestStoreSinkInterface(t *testing.T) {
-	// Store itself is a censor.Sink: writes land in an implicit run.
-	store := NewStore(withClock(newFakeClock().Now))
-	var sink censor.Sink = store
-	if err := sink.Write(res("Idea", "http", "a.com", true)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if err := sink.Flush(); err != nil {
-		t.Fatalf("Flush: %v", err)
-	}
-	runs := store.Runs()
-	if len(runs) != 1 || runs[0].Source != "direct" || !runs[0].Done || runs[0].Results != 1 {
-		t.Fatalf("implicit run wrong: %+v", runs)
-	}
-	// The next Write opens a fresh epoch.
-	if err := sink.Write(res("Idea", "http", "b.com", false)); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	if runs = store.Runs(); len(runs) != 2 || runs[1].Run != runs[0].Run+1 {
-		t.Fatalf("second direct write did not open a new run: %+v", runs)
-	}
-}
-
 func TestStoreWriteAfterFlush(t *testing.T) {
 	store := NewStore(withClock(newFakeClock().Now))
 	sink := store.Begin("s", "test")
 	if err := sink.Flush(); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
-	if err := sink.Write(res("Idea", "dns", "a.com", false)); err == nil {
-		t.Fatal("Write after Flush succeeded, want error")
+	if err := sink.WriteBatch(one(res("Idea", "dns", "a.com", false))); err == nil {
+		t.Fatal("WriteBatch after Flush succeeded, want error")
 	}
 }
 
@@ -142,9 +122,9 @@ func TestStoreQueryFilters(t *testing.T) {
 	store := NewStore(withClock(clock.Now))
 
 	run1 := store.Begin("alpha", "test")
-	run1.Write(res("Airtel", "dns", "a.com", true))
-	run1.Write(res("Airtel", "http", "a.com", false))
-	run1.Write(res("Idea", "http", "b.com", true))
+	run1.WriteBatch(one(res("Airtel", "dns", "a.com", true)))
+	run1.WriteBatch(one(res("Airtel", "http", "a.com", false)))
+	run1.WriteBatch(one(res("Idea", "http", "b.com", true)))
 	run1.Flush()
 	var cut time.Time
 	{
@@ -152,8 +132,8 @@ func TestStoreQueryFilters(t *testing.T) {
 		cut = clock.Now()
 	}
 	run2 := store.Begin("beta", "test")
-	run2.Write(res("Airtel", "dns", "c.com", true))
-	run2.Write(res("Idea", "http", "b.com", false))
+	run2.WriteBatch(one(res("Airtel", "dns", "c.com", true)))
+	run2.WriteBatch(one(res("Idea", "http", "b.com", false)))
 	run2.Flush()
 
 	cases := []struct {
@@ -195,14 +175,14 @@ func TestStoreQueryFilters(t *testing.T) {
 func TestStoreDelta(t *testing.T) {
 	store := NewStore(withClock(newFakeClock().Now))
 	run1 := store.Begin("s", "test")
-	run1.Write(res("Airtel", "http", "x.com", true))
-	run1.Write(res("Airtel", "http", "y.com", true))
-	run1.Write(res("Idea", "http", "x.com", true))
+	run1.WriteBatch(one(res("Airtel", "http", "x.com", true)))
+	run1.WriteBatch(one(res("Airtel", "http", "y.com", true)))
+	run1.WriteBatch(one(res("Idea", "http", "x.com", true)))
 	run1.Flush()
 	run2 := store.Begin("s", "test")
-	run2.Write(res("Airtel", "http", "y.com", true))
-	run2.Write(res("Airtel", "http", "z.com", true))
-	run2.Write(res("Idea", "http", "x.com", true))
+	run2.WriteBatch(one(res("Airtel", "http", "y.com", true)))
+	run2.WriteBatch(one(res("Airtel", "http", "z.com", true)))
+	run2.WriteBatch(one(res("Idea", "http", "x.com", true)))
 	run2.Flush()
 
 	d, err := store.DeltaSince(run1.Run(), run2.Run())
@@ -229,7 +209,7 @@ func TestStoreRunRetention(t *testing.T) {
 	var runs []*RunSink
 	for i := 0; i < 4; i++ {
 		s := store.Begin("s", "test")
-		s.Write(res("Airtel", "dns", "a.com", false))
+		s.WriteBatch(one(res("Airtel", "dns", "a.com", false)))
 		s.Flush()
 		runs = append(runs, s)
 	}
@@ -247,15 +227,15 @@ func TestStoreRunRetention(t *testing.T) {
 func TestStoreRetentionSparesOpenRuns(t *testing.T) {
 	store := NewStore(WithRunRetention(1), withClock(newFakeClock().Now))
 	open := store.Begin("s", "test")
-	open.Write(res("Airtel", "dns", "a.com", false))
+	open.WriteBatch(one(res("Airtel", "dns", "a.com", false)))
 	// Churn through finished runs well past the cap.
 	for i := 0; i < 3; i++ {
 		s := store.Begin("s", "test")
-		s.Write(res("Airtel", "dns", "b.com", false))
+		s.WriteBatch(one(res("Airtel", "dns", "b.com", false)))
 		s.Flush()
 	}
 	// The open run is still writable...
-	if err := open.Write(res("Airtel", "dns", "c.com", false)); err != nil {
+	if err := open.WriteBatch(one(res("Airtel", "dns", "c.com", false))); err != nil {
 		t.Fatalf("open run evicted under retention pressure: %v", err)
 	}
 	if err := open.Flush(); err != nil {
@@ -282,7 +262,7 @@ func TestStoreConcurrentWriteQuery(t *testing.T) {
 			defer writeWG.Done()
 			sink := store.Begin(fmt.Sprintf("s%d", w), "test")
 			for i := 0; i < perWriter; i++ {
-				if err := sink.Write(res("Airtel", "dns", fmt.Sprintf("d%d.com", i), i%3 == 0)); err != nil {
+				if err := sink.WriteBatch(one(res("Airtel", "dns", fmt.Sprintf("d%d.com", i), i%3 == 0))); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -372,17 +352,17 @@ func batchRes(n int) []censor.Result {
 }
 
 // TestStoreWriteBatchMatchesWrite pins the batch-ingest contract: a run
-// fed through WriteBatch (in uneven, key-crossing chunks) is
-// indistinguishable — results, sequence order, info row, summary — from
-// the same results fed one Write at a time.
+// fed in uneven, key-crossing chunks is indistinguishable — results,
+// sequence order, info row, summary — from the same results written one
+// at a time as one-element batches.
 func TestStoreWriteBatchMatchesWrite(t *testing.T) {
 	results := batchRes(60)
 
 	single := NewStore(withClock(newFakeClock().Now))
 	ss := single.Begin("s", "test")
-	for _, r := range results {
-		if err := ss.Write(r); err != nil {
-			t.Fatalf("Write: %v", err)
+	for i := range results {
+		if err := ss.WriteBatch(results[i : i+1]); err != nil {
+			t.Fatalf("WriteBatch(one): %v", err)
 		}
 	}
 	ss.Flush()
@@ -407,26 +387,26 @@ func TestStoreWriteBatchMatchesWrite(t *testing.T) {
 	}
 	for i := range sr {
 		if !reflect.DeepEqual(sr[i], br[i]) {
-			t.Fatalf("result %d diverged:\nwrite:      %+v\nwritebatch: %+v", i, sr[i], br[i])
+			t.Fatalf("result %d diverged:\none by one: %+v\nchunked:    %+v", i, sr[i], br[i])
 		}
 	}
 	si, _ := single.Run(ss.Run())
 	bi, _ := batched.Run(bs.Run())
 	if si != bi {
-		t.Errorf("run info diverged:\nwrite:      %+v\nwritebatch: %+v", si, bi)
+		t.Errorf("run info diverged:\none by one: %+v\nchunked:    %+v", si, bi)
 	}
 	st, _ := single.SummaryText(ss.Run())
 	bt, _ := batched.SummaryText(bs.Run())
 	if st != bt {
-		t.Errorf("summary diverged:\n--- write ---\n%s\n--- writebatch ---\n%s", st, bt)
+		t.Errorf("summary diverged:\n--- one by one ---\n%s\n--- chunked ---\n%s", st, bt)
 	}
 	if ss, bs := single.Stats(), batched.Stats(); ss != bs {
 		t.Errorf("stats diverged: %+v vs %+v", ss, bs)
 	}
 }
 
-// TestStoreWriteBatchAfterFlush mirrors the Write-after-Flush guard on
-// the batch path.
+// TestStoreWriteBatchAfterFlush mirrors the write-after-Flush guard for
+// a multi-result batch, which must be rejected whole.
 func TestStoreWriteBatchAfterFlush(t *testing.T) {
 	store := NewStore()
 	sink := store.Begin("s", "test")
