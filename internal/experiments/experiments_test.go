@@ -101,6 +101,32 @@ func TestTable2AndFigure5Quick(t *testing.T) {
 	}
 }
 
+// table2QuickGolden is RenderTable2+RenderFigure5 of a fresh QuickOptions
+// suite. Table 2 runs its ISPs in sequence on one world, so a scan that
+// sends, reads or times out in a different order changes these bytes even
+// when every row stays inside the ranges TestTable2AndFigure5Quick checks.
+const table2QuickGolden = "" +
+	"Table 2: HTTP filtering in different ISPs\n" +
+	"ISP          Cov(within)%  Cov(outside)%    Box   #Blocked  Consistency%\n" +
+	"Airtel               80.6           56.2     WM         46          10.9\n" +
+	"Idea                 86.1           93.8     IM         67          75.8\n" +
+	"Vodafone             16.7            6.2     IM         45          25.9\n" +
+	"Jio                   0.0            0.0      ?          0           0.0\n" +
+	"Figure 5: Consistency of middleboxes (% of poisoned paths blocking each site)\n" +
+	"Airtel     consistency=10.9% blocked-sites=46\n" +
+	"       series: min=3.4% p25=6.9% median=10.3% p75=13.8% max=24.1% (n=46)\n" +
+	"Vodafone   consistency=25.9% blocked-sites=45\n" +
+	"       series: min=16.7% p25=16.7% median=16.7% p75=33.3% max=66.7% (n=45)\n" +
+	"Idea       consistency=75.8% blocked-sites=67\n" +
+	"       series: min=64.5% p25=71.0% median=74.2% p75=80.6% max=90.3% (n=67)\n"
+
+func TestTable2AndFigure5QuickGolden(t *testing.T) {
+	s := NewSuite(QuickOptions())
+	if got := RenderTable2(s.Table2()) + RenderFigure5(s.Figure5()); got != table2QuickGolden {
+		t.Errorf("Table 2 + Figure 5 changed:\n%s\nwant:\n%s", got, table2QuickGolden)
+	}
+}
+
 func TestFigure2Quick(t *testing.T) {
 	s := suite(t)
 	rows := s.Figure2()

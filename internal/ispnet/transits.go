@@ -158,16 +158,28 @@ func (w *World) wireTransits() {
 }
 
 // podPolicy accumulates per-pod (prefixes -> next hop) rules so multiple
-// customers compose into a single policy closure.
+// customers compose into a single policy.
 type podPolicy struct {
 	pod   *netsim.Router
 	rules []podRule
+	// memo caches route's answer per destination (see install).
+	memo map[netip.Addr]podRoute
 }
 
 type podRule struct {
 	prefixes []netip.Prefix
 	next     *netsim.Router
 }
+
+// podRoute is one memoized policy answer.
+type podRoute struct {
+	next *netsim.Router
+	ok   bool
+}
+
+// podRouteMemoMax bounds a pod's memo; on overflow it is dropped
+// wholesale, which costs only rescans.
+const podRouteMemoMax = 1 << 16
 
 func (w *World) addPodPolicy(pod *netsim.Router, prefixes []netip.Prefix, next *netsim.Router) {
 	if w.podPolicies == nil {
@@ -181,18 +193,41 @@ func (w *World) addPodPolicy(pod *netsim.Router, prefixes []netip.Prefix, next *
 	pp.rules = append(pp.rules, podRule{prefixes: prefixes, next: next})
 }
 
+// install makes lookup the pod's routing policy. The policy is a pure
+// function of the rules, and they are fixed once wireTransits has added
+// them all: nothing appends to them afterwards and Reset leaves routing
+// alone. That is what lets lookup memoize answers across packets, resets
+// and measurements.
 func (pp *podPolicy) install() {
-	rules := pp.rules
-	pp.pod.SetPolicy(func(dst netip.Addr) (*netsim.Router, bool) {
-		for _, r := range rules {
-			for _, pfx := range r.prefixes {
-				if pfx.Contains(dst) {
-					return r.next, true
-				}
+	pp.memo = make(map[netip.Addr]podRoute)
+	pp.pod.SetPolicy(pp.lookup)
+}
+
+// lookup answers the policy for dst: the first packet to an address scans
+// the rules, later ones reuse the answer.
+func (pp *podPolicy) lookup(dst netip.Addr) (*netsim.Router, bool) {
+	if rt, ok := pp.memo[dst]; ok {
+		return rt.next, rt.ok
+	}
+	next, ok := pp.route(dst)
+	if len(pp.memo) >= podRouteMemoMax {
+		clear(pp.memo)
+	}
+	pp.memo[dst] = podRoute{next, ok}
+	return next, ok
+}
+
+// route scans the rules: the first rule, in the order added, with a
+// prefix holding dst names the next hop.
+func (pp *podPolicy) route(dst netip.Addr) (*netsim.Router, bool) {
+	for _, r := range pp.rules {
+		for _, pfx := range r.prefixes {
+			if pfx.Contains(dst) {
+				return r.next, true
 			}
 		}
-		return nil, false
-	})
+	}
+	return nil, false
 }
 
 // podOf maps an address to its pod index (web-hosting space 199.p.0.0/16).

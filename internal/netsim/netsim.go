@@ -215,6 +215,12 @@ func (n *Network) homeRouter(addr netip.Addr) *Router {
 	if h, ok := n.hosts[addr]; ok {
 		return h.router
 	}
+	return n.prefixRouter(addr)
+}
+
+// prefixRouter finds the router whose claimed prefix holds addr: the home
+// of an address no host is registered at.
+func (n *Network) prefixRouter(addr netip.Addr) *Router {
 	for _, pe := range n.prefixes {
 		if pe.prefix.Contains(addr) {
 			return pe.router
@@ -491,7 +497,8 @@ func (n *Network) timeExceeded(r *Router, expired *netpkt.Packet) *netpkt.Packet
 //repolint:hotpath
 func (n *Network) forwardFrom(r *Router, pkt *netpkt.Packet) {
 	dst := pkt.IP.Dst
-	if h, ok := n.hosts[dst]; ok && h.router == r {
+	h, live := n.hosts[dst]
+	if live && h.router == r {
 		n.cDelivered.Inc()
 		n.eng.ScheduleCall(h.accessLatency, n.deliverFn, h, pkt)
 		return
@@ -502,7 +509,12 @@ func (n *Network) forwardFrom(r *Router, pkt *netpkt.Packet) {
 			return
 		}
 	}
-	home := n.homeRouter(dst)
+	var home *Router
+	if live {
+		home = h.router
+	} else {
+		home = n.prefixRouter(dst)
+	}
 	if home == nil {
 		n.Drops++
 		n.cDropped.Inc()

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/httpwire"
 	"repro/internal/ispnet"
+	"repro/internal/tcpsim"
 )
 
 // ScanConfig sizes the coverage/consistency scans of §4.2.2.
@@ -43,6 +44,11 @@ type PathScan struct {
 // records which values drew a censorship response. The middleboxes are
 // destination-agnostic (they match the Host field), which is exactly what
 // makes this scan possible.
+//
+// Each answered GET is consumed from the connection, so a keep-alive
+// connection holds only the unanswered tail however many GETs it carries.
+// A GET that times out unanswered leaves its partial bytes unconsumed, and
+// the next GET on the same connection is framed from them.
 func scanPath(ep *ispnet.Endpoint, dst netip.Addr, hosts []string, attempts int, perURL time.Duration) *PathScan {
 	res := &PathScan{Dst: dst}
 	eng := ep.Host.Engine()
@@ -50,7 +56,23 @@ func scanPath(ep *ispnet.Endpoint, dst netip.Addr, hosts []string, attempts int,
 	if err != nil {
 		return res
 	}
-	consumed := 0
+	// answered reports whether the unconsumed stream of c starts with a
+	// complete response. It frames again only when bytes have arrived
+	// since its last call (seen = -1 forces a fresh look).
+	var (
+		c    *tcpsim.Conn
+		seen int
+		done bool
+	)
+	answered := func() bool {
+		if n := c.Buffered(); n != seen {
+			seen = n
+			_, err := httpwire.ResponseLen(c.ReadStream())
+			done = err == nil
+		}
+		return done
+	}
+	settled := func() bool { return c.Dead() || c.PeerClosed() || answered() }
 	for _, h := range hosts {
 		blocked := false
 		for a := 0; a < attempts && !blocked; a++ {
@@ -60,21 +82,13 @@ func scanPath(ep *ispnet.Endpoint, dst netip.Addr, hosts []string, attempts int,
 					conn = nil
 					break
 				}
-				consumed = 0
 			}
 			conn.Send(httpwire.NewGET("/").Header("Host", h).Bytes())
-			c := conn
-			startLen := consumed
-			_ = eng.RunUntil(perURL, func() bool {
-				if c.Dead() || c.PeerClosed() {
-					return true
-				}
-				resp := tryParseAll(c.Stream()[startLen:])
-				return resp != nil
-			})
+			c, seen = conn, -1
+			_ = eng.RunUntil(perURL, settled)
 			// Outcomes: censorship teardown, or an ordinary response.
 			if _, reset := c.WasReset(); reset || c.PeerClosed() {
-				stream := c.Stream()[startLen:]
+				stream := c.ReadStream()
 				if reset && len(stream) == 0 {
 					blocked = true // covert RST
 				}
@@ -88,10 +102,9 @@ func scanPath(ep *ispnet.Endpoint, dst netip.Addr, hosts []string, attempts int,
 				conn = nil
 				continue
 			}
-			if resp := tryParseAll(c.Stream()[startLen:]); resp != nil {
+			if answered() {
 				// Ordinary 404/200 from the destination host.
-				adv := len(c.Stream()) - startLen
-				consumed = startLen + adv
+				c.Consume(c.Buffered())
 			}
 		}
 		if blocked {

@@ -26,8 +26,10 @@ type Conn struct {
 	recvBuf []byte
 	// readOff is the consuming read cursor into recvBuf: bytes before it
 	// were handed out through ReadStream/Consume and may be discarded by
-	// compaction. Probe-style callers that never Consume keep it at zero,
-	// which is what keeps Stream() meaning "everything received".
+	// compaction. Connections whose owner never calls Consume (one-shot
+	// probe fetches) keep it at zero, which is what keeps Stream() meaning
+	// "everything received"; bridge connections, web servers and the
+	// keep-alive coverage scan consume.
 	readOff int
 	// peerWnd is the window the remote advertised on its last segment.
 	peerWnd uint16
@@ -86,14 +88,16 @@ func (c *Conn) RemoteAddr() netip.Addr { return c.remoteAddr }
 func (c *Conn) RemotePort() uint16 { return c.remotePort }
 
 // Stream returns the bytes received in order so far. On connections whose
-// owner consumes via ReadStream/Consume the retained prefix may have been
-// compacted away; probe-style callers that never Consume always see the
-// full stream from byte zero.
+// owner consumes via ReadStream/Consume (bridge connections, web servers,
+// the keep-alive coverage scan) the consumed prefix may have been
+// compacted away; callers that never Consume, such as one-shot probe
+// fetches, always see the full stream from byte zero.
 func (c *Conn) Stream() []byte { return c.recvBuf }
 
 // ReadStream returns the received bytes not yet consumed by Consume. It is
-// the read-cursor view bridge connections drain from, leaving Stream() to
-// the callers that want the whole history.
+// the read-cursor view that bridge connections, web servers and the
+// coverage scan drain from, leaving Stream() to the callers that want the
+// whole history.
 func (c *Conn) ReadStream() []byte { return c.recvBuf[c.readOff:] }
 
 // Buffered returns how many received bytes are waiting to be consumed.

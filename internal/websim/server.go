@@ -67,8 +67,11 @@ type Server struct {
 	// fetch) — page content is a pure function of those three, so the
 	// body rendering and header formatting run once per distinct page, not
 	// once per request. Entries for non-dynamic sites use fetch 0 (their
-	// content ignores the counter). The cache is correctness-neutral (a
-	// miss regenerates identical bytes) and therefore survives Reset.
+	// content ignores the counter). It also holds the 404 this server
+	// answers for domains it does not host, one per region under
+	// notFoundFetch, since the profile is fixed at construction. The cache
+	// is correctness-neutral (a miss regenerates identical bytes) and
+	// therefore survives Reset.
 	respCache map[respKey][]byte
 	// Requests counts successfully served requests (tests/metrics).
 	Requests int
@@ -81,9 +84,19 @@ type respKey struct {
 	fetch  int
 }
 
+// notFoundFetch keys the cached 404. Fetch counters start at 1 and
+// non-dynamic pages use 0, so no hosted page shares the key.
+const notFoundFetch = -1
+
 // respCacheMax bounds the cache; on overflow it is dropped wholesale
 // (regeneration is deterministic, so eviction never affects output).
 const respCacheMax = 4096
+
+// The two fixed 400 answers, marshaled once.
+var (
+	badRequest  = httpwire.NewResponse(400, "Bad Request", []byte("<html><body>Bad Request</body></html>")).Marshal()
+	missingHost = httpwire.NewResponse(400, "Bad Request", []byte("<html><body>Missing Host</body></html>")).Marshal()
+)
 
 func (s *Server) cachedResponse(key respKey) ([]byte, bool) {
 	b, ok := s.respCache[key]
@@ -95,6 +108,21 @@ func (s *Server) storeResponse(key respKey, b []byte) {
 		s.respCache = make(map[respKey][]byte)
 	}
 	s.respCache[key] = b
+}
+
+// notFound returns the 404 this server sends, in region, for a domain it
+// does not host — the paper's remote-controlled hosts respond exactly
+// like this.
+func (s *Server) notFound(region Region) []byte {
+	key := respKey{region: region, fetch: notFoundFetch}
+	wire, ok := s.cachedResponse(key)
+	if !ok {
+		resp := httpwire.NewResponse(404, "Not Found", []byte("<html><body>No such site here</body></html>"))
+		s.profile.apply(resp, region)
+		wire = resp.Marshal()
+		s.storeResponse(key, wire)
+	}
+	return wire
 }
 
 // NewServer attaches server logic to a TCP stack, listening on port 80.
@@ -124,22 +152,23 @@ func (s *Server) Reset() {
 	s.Requests = 0
 }
 
-// accept wires per-connection request parsing.
+// accept wires per-connection request parsing. Each parsed request (or
+// malformed message) is consumed from the connection, so a keep-alive
+// connection holds only the unparsed tail, however many requests it
+// carries.
 func (s *Server) accept(c *tcpsim.Conn) {
-	var consumed int
 	c.OnData = func(c *tcpsim.Conn) {
-		stream := c.Stream()[consumed:]
 		for {
+			stream := c.ReadStream()
 			req, rest, err := httpwire.ParseRequest(stream)
 			if err == httpwire.ErrIncomplete {
 				return
 			}
-			consumed += len(stream) - len(rest)
-			stream = rest
+			c.Consume(len(stream) - len(rest))
 			if err != nil {
 				// Malformed message (e.g. the trailing junk left by the
 				// multiple-Host evasion): 400, keep the connection.
-				c.Send(httpwire.NewResponse(400, "Bad Request", []byte("<html><body>Bad Request</body></html>")).Marshal())
+				c.Send(badRequest)
 				continue
 			}
 			s.respond(c, req)
@@ -153,7 +182,7 @@ func (s *Server) accept(c *tcpsim.Conn) {
 func (s *Server) respond(c *tcpsim.Conn, req *httpwire.Request) {
 	host, ok := req.Host()
 	if !ok {
-		c.Send(httpwire.NewResponse(400, "Bad Request", []byte("<html><body>Missing Host</body></html>")).Marshal())
+		c.Send(missingHost)
 		return
 	}
 	region := s.region
@@ -186,11 +215,7 @@ func (s *Server) respond(c *tcpsim.Conn, req *httpwire.Request) {
 	}
 	site, hosted := s.sites[host]
 	if !hosted {
-		// A server that does not host the requested domain — the
-		// paper's remote-controlled hosts respond exactly like this.
-		resp := httpwire.NewResponse(404, "Not Found", []byte("<html><body>No such site here</body></html>"))
-		s.profile.apply(resp, region)
-		c.Send(resp.Marshal())
+		c.Send(s.notFound(region))
 		s.finish(c, req)
 		return
 	}

@@ -2,6 +2,7 @@ package websim
 
 import (
 	"bytes"
+	"fmt"
 	"net/netip"
 	"strings"
 	"testing"
@@ -144,6 +145,7 @@ func TestParkedPagesDifferByRegion(t *testing.T) {
 type serverFixture struct {
 	eng    *sim.Engine
 	client *tcpsim.Stack
+	sstack *tcpsim.Stack
 	server *Server
 	saddr  netip.Addr
 }
@@ -161,7 +163,7 @@ func newServerFixture(t *testing.T, profile ServerProfile) *serverFixture {
 	cstack := tcpsim.NewStack(ch)
 	sstack := tcpsim.NewStack(sh)
 	srv := NewServer(sstack, RegionUS, profile)
-	return &serverFixture{eng: eng, client: cstack, server: srv, saddr: sh.Addr()}
+	return &serverFixture{eng: eng, client: cstack, sstack: sstack, server: srv, saddr: sh.Addr()}
 }
 
 func fetch(t *testing.T, f *serverFixture, rawReq []byte) []*httpwire.Response {
@@ -281,5 +283,60 @@ func TestServerPipelining(t *testing.T) {
 	}
 	if f.server.Requests != 2 {
 		t.Errorf("server Requests = %d", f.server.Requests)
+	}
+}
+
+// The cached 404 must be byte-identical to the one the server used to build
+// per request, for every profile and region.
+func TestServerNotFoundCached(t *testing.T) {
+	for _, profile := range []ServerProfile{ProfileStandard, ProfileCDNEdge, ProfileParkIN, ProfileParkIntl} {
+		f := newServerFixture(t, profile)
+		for _, region := range []Region{RegionIN, RegionUS, RegionEU} {
+			want := httpwire.NewResponse(404, "Not Found", []byte("<html><body>No such site here</body></html>"))
+			profile.apply(want, region)
+			for i := 0; i < 2; i++ { // miss, then hit
+				if got := f.server.notFound(region); !bytes.Equal(got, want.Marshal()) {
+					t.Errorf("profile %d region %v: cached 404\n%q\nwant\n%q", profile, region, got, want.Marshal())
+				}
+			}
+		}
+	}
+}
+
+// A keep-alive session as long as a path scan's leaves the server
+// connection holding only its unparsed tail, not every request it served.
+func TestServerKeepAliveConsumes(t *testing.T) {
+	const requests = 2000
+	f := newServerFixture(t, ProfileStandard)
+	var sc *tcpsim.Conn
+	f.sstack.Listen(80, func(c *tcpsim.Conn) { sc = c; f.server.accept(c) })
+	c := f.client.Connect(f.saddr, 80)
+	if err := c.WaitEstablished(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var sent int
+	for i := 0; i < requests; i++ {
+		req := httpwire.NewGET("/").Header("Host", fmt.Sprintf("site%d.example.in", i)).Bytes()
+		sent += len(req)
+		c.Send(req)
+	}
+	f.eng.RunFor(5 * time.Second)
+
+	got := 0
+	for stream := c.Stream(); len(stream) > 0; got++ {
+		n, err := httpwire.ResponseLen(stream)
+		if err != nil {
+			t.Fatalf("response %d: %v", got, err)
+		}
+		stream = stream[n:]
+	}
+	if got != requests || f.server.Requests != requests {
+		t.Fatalf("client got %d responses, server served %d; want %d", got, f.server.Requests, requests)
+	}
+	if sc.Buffered() != 0 {
+		t.Errorf("server left %d bytes unconsumed", sc.Buffered())
+	}
+	if len(sc.Stream()) >= 8<<10 {
+		t.Errorf("server connection retains %d bytes of the %d received", len(sc.Stream()), sent)
 	}
 }
