@@ -235,7 +235,7 @@ func WithTelemetry(reg *obs.Registry) Option {
 // merge-wait span per task the merger had to block for. Spans are
 // stamped with obs.WallClock — campaign tracing profiles the runner, not
 // the simulation, so unlike the result stream it is not deterministic.
-// Export with Tracer.WriteChromeTrace (Perfetto) or WriteJSONL.
+// Export with Tracer.WriteChromeTrace (Perfetto, chrome://tracing).
 func WithTrace(tr *obs.Tracer) Option {
 	return func(c *config) {
 		if tr != nil {

@@ -13,7 +13,6 @@
 //
 //	GET  /healthz                  liveness, build info, uptime, store counters
 //	GET  /metrics                  Prometheus text exposition of all telemetry
-//	GET  /debug/vars               the same registry as expvar JSON
 //	GET  /v1/scenarios             the scenario preset registry
 //	GET  /v1/runs                  retained runs
 //	POST /v1/campaigns             trigger a run now ({"job":"small"})

@@ -15,19 +15,19 @@
 //
 // Usage:
 //
-//	censorscan [-quick] [-only table1,table2,table3,figure1,figure2,figure5,section5]
+//	censorscan [-scenario small] [-only table1,table2,table3,figure1,figure2,figure5,section5]
 //	censorscan -only figure2 -series        # dump the full Figure 2 series
 //	censorscan -campaign -workers 4 -domains 100 > results.jsonl
 //	censorscan -isps MTNL,BSNL -measure dns,https -format csv
-//	censorscan -quick -measure evasion -domains 20 -format summary
+//	censorscan -scenario small -measure evasion -domains 20 -format summary
 //	censorscan -list-scenarios
 //	censorscan -scenario dns-only -measure dns,http -format summary
 //	censorscan -scenario my_world.json -workers 8 > results.jsonl
-//	censorscan -quick -measure dns -push http://localhost:8080 > results.jsonl
-//	censorscan -quick -campaign -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
-//	censorscan -quick -measure dns,http -domains 10 -pcap captures/ > results.jsonl
-//	censorscan -quick -measure dns,http -trace trace.json > results.jsonl
-//	censorscan -quick -measure dns -metrics-dump > results.jsonl
+//	censorscan -scenario small -measure dns -push http://localhost:8080 > results.jsonl
+//	censorscan -scenario small -campaign -cpuprofile cpu.prof -memprofile mem.prof > /dev/null
+//	censorscan -scenario small -measure dns,http -domains 10 -pcap captures/ > results.jsonl
+//	censorscan -scenario small -measure dns,http -trace trace.json > results.jsonl
+//	censorscan -scenario small -measure dns -metrics-dump > results.jsonl
 //
 // -trace writes the campaign's worker/merger timeline as a Chrome
 // trace_event file (open it in Perfetto or chrome://tracing);
@@ -62,8 +62,7 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "use the reduced world (fast smoke run)")
-	scenario := flag.String("scenario", "", "world scenario: a registered preset name or a JSON spec file (see -list-scenarios)")
+	scenario := flag.String("scenario", "paper-2018", "world scenario: a registered preset name or a JSON spec file (see -list-scenarios); small is the reduced world")
 	listScenarios := flag.Bool("list-scenarios", false, "list the registered scenario presets and exit")
 	only := flag.String("only", "", "comma-separated experiment list (default: all)")
 	series := flag.Bool("series", false, "dump full per-website series for figures 2 and 5")
@@ -96,10 +95,6 @@ func main() {
 	// built, so a typo fails instantly even at paper scale.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if set["quick"] && set["scenario"] {
-		fmt.Fprintln(os.Stderr, "censorscan: -quick and -scenario both pick the world; use one")
-		os.Exit(2)
-	}
 	for _, name := range []string{"workers", "isps", "measure", "domains", "format", "push", "load", "pcap", "trace", "metrics-dump"} {
 		if !set[name] {
 			continue
@@ -130,7 +125,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "censorscan: %v\n", err)
 		os.Exit(2)
 	}
-	world, preset, err := pickScenario(*scenario, *quick)
+	world, preset, err := cliutil.ReadScenario(*scenario)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "censorscan: %v\n", err)
 		os.Exit(2)
@@ -144,15 +139,12 @@ func main() {
 	}
 	// Table mode regenerates the paper's evaluation, which only the two
 	// paper presets calibrate (a JSON spec file never qualifies, whatever
-	// its name field claims). The preset also decides the quick/paper
+	// its name field claims). The preset also decides the reduced/paper
 	// experiment options below.
-	if !*campaign && set["scenario"] {
-		if !preset || (world.Name != "paper-2018" && world.Name != "small") {
-			fmt.Fprintf(os.Stderr, "censorscan: table mode needs the paper world; combine -scenario %s with campaign flags (-measure, -workers, ...)\n", *scenario)
-			os.Exit(2)
-		}
+	if !*campaign && (!preset || (world.Name != "paper-2018" && world.Name != "small")) {
+		fmt.Fprintf(os.Stderr, "censorscan: table mode needs the paper world; combine -scenario %s with campaign flags (-measure, -workers, ...)\n", *scenario)
+		os.Exit(2)
 	}
-	reduced := *quick || world.Name == "small"
 
 	// Profiling hooks, so perf work on the measurement engine is
 	// profile-driven rather than guessed: the profiles wrap everything from
@@ -225,21 +217,7 @@ func main() {
 		}
 		return
 	}
-	runTables(sess, reduced, *only, *series)
-}
-
-// pickScenario resolves the world spec: a registered preset name, a
-// JSON spec file (both via the shared cliutil resolver), or the scale
-// flags' presets. preset reports whether the spec came from the
-// registry (a JSON file never counts, whatever its name field claims).
-func pickScenario(arg string, quick bool) (sc censor.Scenario, preset bool, err error) {
-	if arg == "" {
-		if quick {
-			return censor.MustLookupScenario("small"), true, nil
-		}
-		return censor.MustLookupScenario("paper-2018"), true, nil
-	}
-	return cliutil.ReadScenario(arg)
+	runTables(sess, world.Name == "small", *only, *series)
 }
 
 // printScenarios renders the preset registry.
@@ -352,10 +330,11 @@ func pushResults(ctx context.Context, baseURL, scenario string, body io.Reader) 
 	return nil
 }
 
-// runTables renders the paper's tables and figures via the suite.
-func runTables(sess *censor.Session, quick bool, only string, series bool) {
+// runTables renders the paper's tables and figures via the suite, with
+// the reduced experiment options on the small world.
+func runTables(sess *censor.Session, small bool, only string, series bool) {
 	opt := experiments.DefaultOptions()
-	if quick {
+	if small {
 		opt = experiments.QuickOptions()
 	}
 	s := experiments.NewSuiteWith(sess, opt)

@@ -107,12 +107,14 @@
 // worker counts and replica pooling, a property the simdeterminism
 // analyzer and the campaign determinism test both pin down. Campaign
 // spans ride wall time; netbridge spans ride engine time, which lines
-// trace exports up with pcap timestamps. Surfaces: censord serves
-// Prometheus text at /metrics (and expvar at /debug/vars), censorscan
-// -trace writes Chrome trace_event JSON for Perfetto with -metrics-dump
-// printing the final registry, and censor.WithTelemetry /
-// netbridge.WithTelemetry hand any registry to library callers. See
-// README.md's Observability section.
+// trace exports up with pcap timestamps. The per-world registry is the
+// only record of engine events, packet drops, buffer-pool traffic and
+// middlebox triggers — no exported field duplicates those counts — and
+// each registry is exported once. Surfaces: censord serves Prometheus
+// text at /metrics, censorscan -trace writes Chrome trace_event JSON for
+// Perfetto with -metrics-dump printing the final registry, and
+// censor.WithTelemetry / netbridge.WithTelemetry hand any registry to
+// library callers. See README.md's Observability section.
 //
 // The monitor package is the service layer over all of that: a
 // Scheduler for recurring campaigns, a bounded concurrency-safe result

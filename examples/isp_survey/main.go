@@ -2,8 +2,8 @@
 // filtering coverage and middlebox types (Table 2), DNS censorship
 // (Figure 2), collateral damage (Table 3), and the evasion matrix (§5) —
 // on the reduced world so it completes in seconds. The suite runs on a
-// censor session; run cmd/censorscan without -quick for the paper-scale
-// numbers, or with -campaign for the raw JSONL records.
+// censor session; run cmd/censorscan without -scenario small for the
+// paper-scale numbers, or with -campaign for the raw JSONL records.
 package main
 
 import (

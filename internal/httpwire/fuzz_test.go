@@ -9,7 +9,8 @@ import (
 	"testing"
 )
 
-// responseVectors are the response shapes the unit tests exercise; they
+// responseVectors are the response shapes the unit tests exercise, plus
+// streams where ParseAll must stop after some complete responses; they
 // seed FuzzResponseLen next to the corpus in testdata/fuzz.
 func responseVectors() [][]byte {
 	full := NewResponse(200, "OK", []byte("<html><title>Hi There</title><body>hello</body></html>")).
@@ -29,6 +30,8 @@ func responseVectors() [][]byte {
 		[]byte("HTTP/1.1 200 OK\r\nno colon here\r\n\r\n"),
 		[]byte("\r\n\r\n"),
 		[]byte("HTTP/1.1 200 OK\r\nContent-Length: 4"),
+		append(append([]byte(nil), pipelined...), short[:10]...),
+		append(append([]byte(nil), short...), "junk\r\n\r\n"...),
 	}
 }
 
@@ -78,8 +81,10 @@ func splitParseResponse(stream []byte) (*Response, []byte, error) {
 }
 
 // FuzzResponseLen checks that ResponseLen frames exactly what ParseResponse
-// parses, and that ParseResponse still behaves as the splitting parser did:
-// same success, same ErrIncomplete, same consumed length, same message.
+// parses, that ParseResponse still behaves as the splitting parser did
+// (same success, same ErrIncomplete, same consumed length, same message),
+// and that ParseAll returns what repeated ParseResponse calls return,
+// each response framed by ResponseLen.
 func FuzzResponseLen(f *testing.F) {
 	for _, v := range responseVectors() {
 		f.Add(v)
@@ -106,6 +111,22 @@ func FuzzResponseLen(f *testing.F) {
 			if a := testing.AllocsPerRun(1, func() { _, _ = ResponseLen(stream) }); a != 0 {
 				t.Fatalf("ResponseLen allocated %v times on success", a)
 			}
+		}
+
+		var want []*Response
+		for s := stream; len(s) > 0; {
+			r, next, err := ParseResponse(s)
+			if err != nil {
+				break
+			}
+			if n, err := ResponseLen(s); err != nil || n != len(s)-len(next) {
+				t.Fatalf("ResponseLen = %d, %v inside ParseAll's walk; ParseResponse consumed %d", n, err, len(s)-len(next))
+			}
+			want = append(want, r)
+			s = next
+		}
+		if got := ParseAll(stream); !reflect.DeepEqual(got, want) {
+			t.Fatalf("ParseAll = %d responses %+v, repeated ParseResponse = %d %+v", len(got), got, len(want), want)
 		}
 	})
 }

@@ -123,6 +123,22 @@ func ResponseLen(stream []byte) (int, error) {
 	return end, nil
 }
 
+// ParseAll parses every complete response at the front of stream, in
+// order, stopping at the first one ParseResponse cannot return (short or
+// malformed). It returns nil when the stream holds no complete response.
+func ParseAll(stream []byte) []*Response {
+	var out []*Response
+	for len(stream) > 0 {
+		resp, rest, err := ParseResponse(stream)
+		if err != nil {
+			break
+		}
+		out = append(out, resp)
+		stream = rest
+	}
+	return out
+}
+
 var (
 	headEnd    = []byte(CRLF + CRLF)
 	crlf       = []byte(CRLF)

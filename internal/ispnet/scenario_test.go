@@ -11,6 +11,7 @@ import (
 	"repro/internal/httpwire"
 	"repro/internal/middlebox"
 	"repro/internal/websim"
+	"repro/obs"
 )
 
 // TestPaperScenarioCompile pins the compiler's address/ASN assignment and
@@ -193,6 +194,14 @@ func TestWorldReset(t *testing.T) {
 		return fmt.Sprintf("dead=%v closed=%v stream=%x", c.Dead(), c.PeerClosed(), c.Stream())
 	}
 
+	// triggers sums Idea's per-box trigger counters in the world registry.
+	triggers := func() (n uint64) {
+		for _, b := range isp.Boxes {
+			n += dirty.Obs().Counter(obs.Name("middlebox_triggers_total", "box", b.ID)).Value()
+		}
+		return n
+	}
+
 	// Dirty the world thoroughly: fetches, DNS queries, engine time.
 	for i := 0; i < 5; i++ {
 		fetch(dirty)
@@ -201,12 +210,15 @@ func TestWorldReset(t *testing.T) {
 	if dirty.Eng.Now() == 0 {
 		t.Fatal("traffic did not advance the engine clock")
 	}
+	if triggers() == 0 {
+		t.Fatal("censored fetches fired no middlebox trigger")
+	}
 	dirty.Reset()
 	if dirty.Eng.Now() != 0 || dirty.Eng.Pending() != 0 {
 		t.Fatalf("Reset left engine at now=%v pending=%d", dirty.Eng.Now(), dirty.Eng.Pending())
 	}
-	if n := isp.Boxes[0].Triggers(); n != 0 {
-		t.Fatalf("Reset left %d triggers on %s", n, isp.Boxes[0].ID)
+	if n := triggers(); n != 0 {
+		t.Fatalf("Reset left %d triggers on Idea's boxes", n)
 	}
 
 	fresh := NewWorld(cfg)

@@ -79,14 +79,6 @@ type BoxRef struct {
 	IM     *middlebox.Interceptor
 }
 
-// Triggers returns the box's trigger count.
-func (b *BoxRef) Triggers() int {
-	if b.WM != nil {
-		return b.WM.Triggers
-	}
-	return b.IM.Triggers
-}
-
 // ISP is one built network operator.
 type ISP struct {
 	Profile

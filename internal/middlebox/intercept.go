@@ -26,12 +26,10 @@ type Interceptor struct {
 	// only); the style is build-time configuration.
 	notif []byte
 
-	// Triggers counts censorship events; Blackholed counts packets
-	// dropped on already-triggered flows (the timed-out 4-way teardowns).
-	Triggers   int
-	Blackholed int
-
-	// Per-box obs mirrors, labeled by box ID in the world registry.
+	// The box's only counters, labeled by box ID in the world registry:
+	// cTriggers counts censorship events, cBlackholed the packets dropped
+	// on already-triggered flows (the timed-out 4-way teardowns), cResets
+	// the injected RSTs.
 	cTriggers   *obs.Counter
 	cBlackholed *obs.Counter
 	cResets     *obs.Counter
@@ -58,8 +56,6 @@ func NewInterceptor(net *netsim.Network, cfg Config, overt bool) *Interceptor {
 // just-deployed state for world pooling.
 func (im *Interceptor) Reset() {
 	im.tbl.reset()
-	im.Triggers = 0
-	im.Blackholed = 0
 	im.cTriggers.Reset()
 	im.cBlackholed.Reset()
 	im.cResets.Reset()
@@ -80,7 +76,6 @@ func (im *Interceptor) Process(pkt *netpkt.Packet, at *netsim.Router) bool {
 	if st.blackholed && c2s {
 		// Everything from client to the blocked site after the trigger is
 		// filtered — the paper saw the client's entire teardown time out.
-		im.Blackholed++
 		im.cBlackholed.Inc()
 		return true
 	}
@@ -94,7 +89,6 @@ func (im *Interceptor) Process(pkt *netpkt.Packet, at *netsim.Router) bool {
 	if !ok || !im.Cfg.Blocklist.Contains(host) {
 		return false
 	}
-	im.Triggers++
 	im.cTriggers.Inc()
 	st.blackholed = true
 

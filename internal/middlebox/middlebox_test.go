@@ -14,6 +14,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/tcpsim"
 	"repro/internal/websim"
+	"repro/obs"
 )
 
 func TestExtractHost(t *testing.T) {
@@ -131,6 +132,11 @@ func (f *fixture) config(scope Scope, style NotifStyle, lastHost bool) Config {
 	}
 }
 
+// count reads one of the fixture box's counters from the world registry.
+func (f *fixture) count(base string) uint64 {
+	return f.eng.Obs().Counter(obs.Name(base, "box", "box-1")).Value()
+}
+
 // doGET opens a connection and sends a standard GET for the domain,
 // returning the conn after letting the exchange settle.
 func (f *fixture) doGET(t testing.TB, domain string) *tcpsim.Conn {
@@ -154,8 +160,8 @@ func TestWiretapInjectsNotificationAndRST(t *testing.T) {
 	f.chost.StartCapture()
 	c := f.doGET(t, f.blocked.Domain)
 
-	if wm.Triggers != 1 {
-		t.Fatalf("Triggers = %d", wm.Triggers)
+	if n := f.count("middlebox_triggers_total"); n != 1 {
+		t.Fatalf("triggers = %d", n)
 	}
 	if !c.PeerClosed() {
 		t.Error("client should have accepted the forged FIN")
@@ -190,8 +196,8 @@ func TestWiretapLosesRace(t *testing.T) {
 	wm := NewWiretap(f.net, f.config(ScopeSrcOnly, StyleAirtel, false), 1.0) // always slow
 	f.routers[1].AttachTap(wm)
 	c := f.doGET(t, f.blocked.Domain)
-	if wm.Triggers != 1 || wm.LostRaces != 1 {
-		t.Fatalf("Triggers=%d LostRaces=%d", wm.Triggers, wm.LostRaces)
+	if tr, lost := f.count("middlebox_triggers_total"), f.count("middlebox_lost_races_total"); tr != 1 || lost != 1 {
+		t.Fatalf("triggers=%d lost races=%d", tr, lost)
 	}
 	if !bytes.Contains(c.Stream(), []byte("portal")) {
 		t.Errorf("real content should have won the race: %q", c.Stream())
@@ -225,7 +231,7 @@ func TestWiretapIgnoresCleanAndOtherPorts(t *testing.T) {
 	wm := NewWiretap(f.net, f.config(ScopeSrcOnly, StyleAirtel, false), 0)
 	f.routers[1].AttachTap(wm)
 	c := f.doGET(t, f.clean.Domain)
-	if wm.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Errorf("clean domain triggered")
 	}
 	if !bytes.Contains(c.Stream(), []byte("portal")) {
@@ -239,7 +245,7 @@ func TestWiretapIgnoresCleanAndOtherPorts(t *testing.T) {
 	}
 	c2.Send(httpwire.NewGET("/").Header("Host", f.blocked.Domain).Bytes())
 	f.eng.RunFor(time.Second)
-	if wm.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("port-8080 traffic inspected")
 	}
 }
@@ -261,18 +267,18 @@ func TestStatefulnessRequiresHandshake(t *testing.T) {
 	// SYN then GET, no handshake completion.
 	send(&netpkt.TCPSegment{SrcPort: 5000, DstPort: 80, Seq: 100, Flags: netpkt.SYN})
 	send(&netpkt.TCPSegment{SrcPort: 5000, DstPort: 80, Seq: 101, Ack: 1, Flags: netpkt.PSH | netpkt.ACK, Payload: get})
-	if wm.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("SYN+GET without handshake triggered")
 	}
 	// Bare GET with no preceding handshake at all.
 	send(&netpkt.TCPSegment{SrcPort: 5001, DstPort: 80, Seq: 500, Ack: 1, Flags: netpkt.PSH | netpkt.ACK, Payload: get})
-	if wm.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("handshake-less GET triggered")
 	}
 	// SYN+ACK first (wrong direction opener) then GET.
 	send(&netpkt.TCPSegment{SrcPort: 5002, DstPort: 80, Seq: 9, Ack: 4, Flags: netpkt.SYN | netpkt.ACK})
 	send(&netpkt.TCPSegment{SrcPort: 5002, DstPort: 80, Seq: 10, Ack: 5, Flags: netpkt.PSH | netpkt.ACK, Payload: get})
-	if wm.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("SYN+ACK-opened flow triggered")
 	}
 }
@@ -290,7 +296,7 @@ func TestStateTimeoutPurges(t *testing.T) {
 	f.eng.RunFor(4 * time.Minute) // exceed the 2-3 minute state window
 	c.Send(httpwire.NewGET("/").Header("Host", f.blocked.Domain).Bytes())
 	f.eng.RunFor(2 * time.Second)
-	if wm.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("GET on purged flow state triggered censorship")
 	}
 	if !bytes.Contains(c.Stream(), []byte("portal")) {
@@ -315,8 +321,8 @@ func TestStateRefreshKeepsFlowAlive(t *testing.T) {
 	}
 	c.Send(httpwire.NewGET("/").Header("Host", f.blocked.Domain).Bytes())
 	f.eng.RunFor(2 * time.Second)
-	if wm.Triggers != 1 {
-		t.Errorf("refreshed flow should still be inspected; Triggers = %d", wm.Triggers)
+	if f.count("middlebox_triggers_total") != 1 {
+		t.Errorf("refreshed flow should still be inspected; triggers = %d", f.count("middlebox_triggers_total"))
 	}
 }
 
@@ -327,8 +333,8 @@ func TestInterceptorOvert(t *testing.T) {
 	before := f.server.Requests
 	c := f.doGET(t, f.blocked.Domain)
 
-	if im.Triggers != 1 {
-		t.Fatalf("Triggers = %d", im.Triggers)
+	if n := f.count("middlebox_triggers_total"); n != 1 {
+		t.Fatalf("triggers = %d", n)
 	}
 	if f.server.Requests != before {
 		t.Error("GET reached the server through an interceptive box")
@@ -343,7 +349,7 @@ func TestInterceptorOvert(t *testing.T) {
 	if c.State() == tcpsim.StateClosed {
 		t.Error("teardown completed despite blackholing")
 	}
-	if im.Blackholed == 0 {
+	if f.count("middlebox_blackholed_total") == 0 {
 		t.Error("no packets blackholed")
 	}
 }
@@ -373,8 +379,8 @@ func TestInterceptorCovert(t *testing.T) {
 	im := NewInterceptor(f.net, f.config(ScopeSrcOnly, StyleVodafone, false), false)
 	f.routers[1].AttachInline(im)
 	c := f.doGET(t, f.blocked.Domain)
-	if im.Triggers != 1 {
-		t.Fatalf("Triggers = %d", im.Triggers)
+	if n := f.count("middlebox_triggers_total"); n != 1 {
+		t.Fatalf("triggers = %d", n)
 	}
 	if len(c.Stream()) != 0 {
 		t.Errorf("covert box must not send content: %q", c.Stream())
@@ -397,7 +403,7 @@ func TestScopeSrcOnlyIgnoresInbound(t *testing.T) {
 	}
 	probe.Send(httpwire.NewGET("/").Header("Host", f.blocked.Domain).Bytes())
 	f.eng.RunFor(2 * time.Second)
-	if im.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("src-only box inspected outside-sourced probe")
 	}
 
@@ -412,7 +418,7 @@ func TestScopeSrcOnlyIgnoresInbound(t *testing.T) {
 	}
 	probe2.Send(httpwire.NewGET("/").Header("Host", f2.blocked.Domain).Bytes())
 	f2.eng.RunFor(2 * time.Second)
-	if im2.Triggers != 1 {
+	if f2.count("middlebox_triggers_total") != 1 {
 		t.Error("src-or-dst box missed inbound probe")
 	}
 }
@@ -432,7 +438,7 @@ func TestCovertLastHostMatching(t *testing.T) {
 		[]byte(" Host: "+f.clean.Domain+"\r\n\r\n")...)
 	c.Send(payload)
 	f.eng.RunFor(2 * time.Second)
-	if im.Triggers != 0 {
+	if f.count("middlebox_triggers_total") != 0 {
 		t.Error("covert box triggered despite clean last Host")
 	}
 	// The server still serves the real (first-Host) content plus a 400.

@@ -44,13 +44,9 @@ type Wiretap struct {
 	// build-time configuration, so every trigger reuses the same bytes.
 	notif []byte
 
-	// Triggers counts censorship events fired; LostRaces the subset
-	// deliberately delayed.
-	Triggers  int
-	LostRaces int
-
-	// Per-box obs mirrors of the counters above plus the injected-RST
-	// count, labeled by box ID in the world registry.
+	// The box's only counters, labeled by box ID in the world registry:
+	// cTriggers counts censorship events fired, cLostRaces the subset
+	// deliberately delayed, cResets the injected RSTs.
 	cTriggers  *obs.Counter
 	cLostRaces *obs.Counter
 	cResets    *obs.Counter
@@ -79,8 +75,6 @@ func NewWiretap(net *netsim.Network, cfg Config, lossProb float64) *Wiretap {
 // just-deployed state for world pooling.
 func (w *Wiretap) Reset() {
 	w.tbl.reset()
-	w.Triggers = 0
-	w.LostRaces = 0
 	w.cTriggers.Reset()
 	w.cLostRaces.Reset()
 	w.cResets.Reset()
@@ -105,7 +99,6 @@ func (w *Wiretap) Observe(pkt *netpkt.Packet, at *netsim.Router) {
 	if !ok || !w.Cfg.Blocklist.Contains(host) {
 		return
 	}
-	w.Triggers++
 	w.cTriggers.Inc()
 
 	client, server := pkt.IP.Src, pkt.IP.Dst
@@ -117,7 +110,6 @@ func (w *Wiretap) Observe(pkt *netpkt.Packet, at *netsim.Router) {
 	delay := w.InjectDelay
 	if w.net.Engine().Rand().Float64() < w.LossProb {
 		delay = w.SlowDelay
-		w.LostRaces++
 		w.cLostRaces.Inc()
 	}
 	eng := w.net.Engine()

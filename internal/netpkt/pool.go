@@ -22,10 +22,10 @@ import (
 // accepts any buffer (pooled or not) and re-files it by capacity.
 type BufPool struct {
 	classes [11][][]byte // 1<<6 .. 1<<16
-	// Gets, Hits count traffic for instrumentation.
-	Gets, Hits uint64
-	// ObsGets, ObsHits mirror Gets/Hits into the owning world's telemetry
-	// registry when wired (netsim.New does); nil instruments are no-ops.
+	// ObsGets counts every Get and ObsHits the Gets served from a free
+	// list. They are the pool's only traffic counters: netsim.New wires
+	// them to the owning world's registry, so they rewind with World.Reset.
+	// Nil instruments (an unwired pool) are no-ops.
 	ObsGets, ObsHits *obs.Counter
 	// guard enforces the single-goroutine contract in race and
 	// repolint_debug builds; it compiles to nothing otherwise.
@@ -62,7 +62,6 @@ func classFor(n int) int {
 //repolint:hotpath
 func (p *BufPool) Get(n int) []byte {
 	p.guard.check()
-	p.Gets++
 	p.ObsGets.Inc()
 	c := classFor(n)
 	if c < 0 {
@@ -73,7 +72,6 @@ func (p *BufPool) Get(n int) []byte {
 		b := free[len(free)-1]
 		free[len(free)-1] = nil
 		p.classes[c] = free[:len(free)-1]
-		p.Hits++
 		p.ObsHits.Inc()
 		return b[:0]
 	}

@@ -2,7 +2,11 @@
 
 package netpkt
 
-import "testing"
+import (
+	"testing"
+
+	"repro/obs"
+)
 
 // TestPoolGuardPanicsOnCrossGoroutineUse proves the guard fires: a pool
 // bound by one goroutine's Get panics when touched from another without a
@@ -42,11 +46,12 @@ func TestPoolGuardRebindAllowsHandOff(t *testing.T) {
 // TestPoolGuardSameGoroutineQuiet pins the non-panic path: repeated use
 // from the owning goroutine never trips the guard.
 func TestPoolGuardSameGoroutineQuiet(t *testing.T) {
-	p := &BufPool{}
+	reg := obs.NewRegistry()
+	p := countedPool(reg)
 	for i := 0; i < 100; i++ {
 		p.Put(p.Get(256))
 	}
-	if p.Gets != 100 {
-		t.Fatalf("Gets = %d, want 100", p.Gets)
+	if g := reg.Counter("netsim_pool_gets_total").Value(); g != 100 {
+		t.Fatalf("netsim_pool_gets_total = %d, want 100", g)
 	}
 }

@@ -4,10 +4,18 @@ import (
 	"bytes"
 	"net/netip"
 	"testing"
+
+	"repro/obs"
 )
 
+// countedPool returns a pool whose traffic counters live in reg.
+func countedPool(reg *obs.Registry) *BufPool {
+	return &BufPool{ObsGets: reg.Counter("netsim_pool_gets_total"), ObsHits: reg.Counter("netsim_pool_hits_total")}
+}
+
 func TestBufPoolRecycles(t *testing.T) {
-	var p BufPool
+	reg := obs.NewRegistry()
+	p := countedPool(reg)
 	b := p.Get(100)
 	if cap(b) < 100 || len(b) != 0 {
 		t.Fatalf("Get(100) = len %d cap %d", len(b), cap(b))
@@ -18,8 +26,11 @@ func TestBufPoolRecycles(t *testing.T) {
 	if cap(c) < 100 {
 		t.Fatalf("recycled cap %d < 100", cap(c))
 	}
-	if p.Hits != 1 {
-		t.Fatalf("Hits = %d, want 1", p.Hits)
+	if h := reg.Counter("netsim_pool_hits_total").Value(); h != 1 {
+		t.Fatalf("netsim_pool_hits_total = %d, want 1", h)
+	}
+	if g := reg.Counter("netsim_pool_gets_total").Value(); g != 2 {
+		t.Fatalf("netsim_pool_gets_total = %d, want 2", g)
 	}
 }
 

@@ -104,10 +104,6 @@ type Network struct {
 	pairPath [][]int32
 	built    bool
 
-	// Drops counts packets dropped for having no route or no receiving
-	// host; useful for experiment sanity checks.
-	Drops uint64
-
 	// pool recycles transient wire buffers (ingress-filter images, ICMP
 	// quotes); single-threaded like the engine.
 	pool netpkt.BufPool
@@ -120,7 +116,8 @@ type Network struct {
 	sendFn    func(a, b any)
 
 	// Per-world telemetry, resolved once from the engine registry: packet
-	// counts are virtual-event driven and thus deterministic.
+	// counts are virtual-event driven and thus deterministic. cDropped
+	// counts packets dropped for having no route or no receiving host.
 	cForwarded *obs.Counter
 	cDelivered *obs.Counter
 	cDropped   *obs.Counter
@@ -244,11 +241,10 @@ func (n *Network) MarkBaseline() {
 }
 
 // ResetRuntime rewinds the network's runtime state — per-host handler
-// registrations, captures, filters, and the drop counter — to the
-// MarkBaseline snapshot. Topology, routing tables and policies are
-// build-time state and stay untouched.
+// registrations, captures and filters — to the MarkBaseline snapshot.
+// Topology, routing tables and policies are build-time state and stay
+// untouched; the packet counters rewind with the engine registry.
 func (n *Network) ResetRuntime() {
-	n.Drops = 0
 	// Reset is an ownership hand-off point: a parked replica world may be
 	// adopted by a different campaign worker.
 	n.RebindPool()
@@ -516,20 +512,17 @@ func (n *Network) forwardFrom(r *Router, pkt *netpkt.Packet) {
 		home = n.prefixRouter(dst)
 	}
 	if home == nil {
-		n.Drops++
 		n.cDropped.Inc()
 		return
 	}
 	if home == r {
 		// Dead address inside a claimed prefix: silently dropped, like a
 		// non-responding IP in a scanned ISP prefix.
-		n.Drops++
 		n.cDropped.Inc()
 		return
 	}
 	next := n.nextToward(r, n.homeRouter(pkt.IP.Src), home)
 	if next == nil {
-		n.Drops++
 		n.cDropped.Inc()
 		return
 	}

@@ -222,8 +222,8 @@ func TestDisconnectedDrops(t *testing.T) {
 	n.Build()
 	h1.Send(netpkt.NewUDP(h1.Addr(), addr(10, 0, 1, 1), &netpkt.UDPDatagram{SrcPort: 1, DstPort: 2}))
 	eng.Run()
-	if n.Drops != 1 {
-		t.Errorf("Drops = %d, want 1", n.Drops)
+	if d := eng.Obs().Counter("netsim_packets_dropped_total").Value(); d != 1 {
+		t.Errorf("netsim_packets_dropped_total = %d, want 1", d)
 	}
 }
 
@@ -233,8 +233,8 @@ func TestDeadPrefixAddressDrops(t *testing.T) {
 	n.Build()
 	client.Send(netpkt.NewUDP(client.Addr(), addr(203, 0, 114, 77), &netpkt.UDPDatagram{SrcPort: 1, DstPort: 53}))
 	eng.Run()
-	if n.Drops != 1 {
-		t.Errorf("Drops = %d, want 1 (dead IP in claimed prefix)", n.Drops)
+	if d := eng.Obs().Counter("netsim_packets_dropped_total").Value(); d != 1 {
+		t.Errorf("netsim_packets_dropped_total = %d, want 1 (dead IP in claimed prefix)", d)
 	}
 }
 

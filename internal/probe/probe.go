@@ -148,7 +148,7 @@ func GetFrom(ep *ispnet.Endpoint, dst netip.Addr, domain string, rawRequest []by
 	ep.Host.Engine().RunFor(timeout / 3)
 	deadline := 3
 	for deadline > 0 {
-		if parsed := tryParseAll(c.Stream()); parsed != nil {
+		if parsed := httpwire.ParseAll(c.Stream()); parsed != nil {
 			res.Responses = parsed
 			break
 		}
@@ -160,7 +160,7 @@ func GetFrom(ep *ispnet.Endpoint, dst netip.Addr, domain string, rawRequest []by
 	}
 	res.Stream = append([]byte(nil), c.Stream()...)
 	if res.Responses == nil {
-		res.Responses = parseAvailable(res.Stream)
+		res.Responses = httpwire.ParseAll(res.Stream)
 	}
 	_, res.Reset = c.WasReset()
 	res.PeerClosed = c.PeerClosed()
@@ -175,46 +175,6 @@ func GetFrom(ep *ispnet.Endpoint, dst netip.Addr, domain string, rawRequest []by
 		ep.Host.Engine().RunFor(10 * time.Millisecond)
 	}
 	return res
-}
-
-// tryParseAll parses the stream only if it holds at least one complete
-// response; returns nil when incomplete.
-func tryParseAll(stream []byte) []*httpwire.Response {
-	if len(stream) == 0 {
-		return nil
-	}
-	var out []*httpwire.Response
-	rest := stream
-	for len(rest) > 0 {
-		resp, r2, err := httpwire.ParseResponse(rest)
-		if err != nil {
-			if err == httpwire.ErrIncomplete && len(out) == 0 {
-				return nil
-			}
-			break
-		}
-		out = append(out, resp)
-		rest = r2
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// parseAvailable parses whatever complete responses the stream holds.
-func parseAvailable(stream []byte) []*httpwire.Response {
-	var out []*httpwire.Response
-	rest := stream
-	for len(rest) > 0 {
-		resp, r2, err := httpwire.ParseResponse(rest)
-		if err != nil {
-			break
-		}
-		out = append(out, resp)
-		rest = r2
-	}
-	return out
 }
 
 // ResolveLocal resolves a domain through the ISP's default resolver.

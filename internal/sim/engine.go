@@ -87,11 +87,10 @@ func (t Timer) Stop() bool {
 // and a seeded random source. The zero value is not usable; construct with
 // NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	seed   int64
-	rng    *rand.Rand
-	events uint64 // total events executed, for instrumentation
+	now  Time
+	seq  uint64
+	seed int64
+	rng  *rand.Rand
 
 	arena []event // slot-addressed event storage, recycled via free
 	free  []int32 // released arena slots
@@ -161,7 +160,6 @@ func (e *Engine) StripTelemetry() {
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
-	e.events = 0
 	e.deadCount = 0
 	e.heap = e.heap[:0]
 	e.free = e.free[:0]
@@ -185,9 +183,6 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Pending returns the number of scheduled (not yet executed, not
 // cancelled) events.
 func (e *Engine) Pending() int { return len(e.heap) - e.deadCount }
-
-// Executed returns the total number of events executed so far.
-func (e *Engine) Executed() uint64 { return e.events }
 
 // Schedule runs fn after delay d of virtual time. A negative delay is
 // treated as zero. The returned Timer can cancel the event.
@@ -367,7 +362,6 @@ func (e *Engine) step() bool {
 		// the callback is no longer pending.
 		e.release(idx)
 		e.now = at
-		e.events++
 		e.cRun.Inc()
 		e.gHeapDepth.Set(int64(len(e.heap)))
 		if fn != nil {

@@ -169,7 +169,7 @@ func TestMassCancelCompaction(t *testing.T) {
 	}
 	ran := 0
 	e.Schedule(time.Hour, func() {})
-	e.RunUntil(2*time.Hour, func() bool { ran = int(e.Executed()); return false })
+	e.RunUntil(2*time.Hour, func() bool { ran = int(e.Obs().Counter("sim_events_run_total").Value()); return false })
 	if ran != keep+1 {
 		t.Fatalf("executed %d events, want %d survivors", ran, keep+1)
 	}

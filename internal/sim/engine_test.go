@@ -159,8 +159,8 @@ func TestExecutedCounter(t *testing.T) {
 		e.Schedule(time.Millisecond, func() {})
 	}
 	e.Run()
-	if e.Executed() != 7 {
-		t.Errorf("Executed = %d, want 7", e.Executed())
+	if n := e.Obs().Counter("sim_events_run_total").Value(); n != 7 {
+		t.Errorf("sim_events_run_total = %d, want 7", n)
 	}
 }
 

@@ -2,7 +2,6 @@ package monitor
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,14 +25,10 @@ type handlerConfig struct {
 	reg *obs.Registry
 }
 
-// WithMetrics mounts two extra endpoints over reg:
-//
-//	GET /metrics     Prometheus text exposition of every instrument
-//	GET /debug/vars  standard expvar JSON, with the registry published
-//	                 under the "censord" key
-//
-// Pass the same registry the store, scheduler jobs (censor.WithTelemetry)
-// and bridges write into, so one scrape sees the whole stack.
+// WithMetrics mounts GET /metrics, the Prometheus text exposition of
+// every instrument in reg. Pass the same registry the store, scheduler
+// jobs (censor.WithTelemetry) and bridges write into, so one scrape sees
+// the whole stack.
 func WithMetrics(reg *obs.Registry) HandlerOption {
 	return func(c *handlerConfig) { c.reg = reg }
 }
@@ -46,7 +41,6 @@ func WithMetrics(reg *obs.Registry) HandlerOption {
 //
 //	GET  /healthz                 liveness, build info, uptime, store counters
 //	GET  /metrics                 Prometheus text (with WithMetrics)
-//	GET  /debug/vars              expvar JSON (with WithMetrics)
 //	GET  /v1/scenarios            the scenario preset registry
 //	GET  /v1/runs                 retained runs, ascending epoch
 //	POST /v1/campaigns            trigger a job run now: {"job":"name"}
@@ -84,12 +78,6 @@ func NewHandler(store *Store, sched *Scheduler, opts ...HandlerOption) http.Hand
 			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 			reg.WritePrometheus(w) //nolint:errcheck // client disconnects are not actionable
 		})
-		// Publish once per process: NewHandler may run many times in tests,
-		// and expvar panics on duplicate names.
-		if expvar.Get("censord") == nil {
-			expvar.Publish("censord", expvar.Func(func() any { return reg.Snapshot() }))
-		}
-		mux.Handle("GET /debug/vars", expvar.Handler())
 	}
 
 	mux.HandleFunc("GET /v1/scenarios", func(w http.ResponseWriter, r *http.Request) {

@@ -77,6 +77,13 @@ func benchResults(vantage string, n int) []censor.Result {
 // writers contend only on the global sequence counter; run with
 // -cpu=1,2,4 to read the scaling. Compare against BenchmarkStoreIngest
 // for the single-writer baseline.
+//
+// This benchmark is too narrow to judge the sharding: on a shared 2-core
+// VM it put the 64-shard store and a single-RWMutex store at 288 and
+// 300 ns/op with -cpu=2, while the censord-ingest workload of
+// bench/run.sh (loopback HTTP, realistic batches) showed the single lock
+// losing about a quarter of pushes/s and doubling push p99. Use that workload for
+// store decisions.
 func BenchmarkStoreIngestParallel(b *testing.B) {
 	store := NewStore(WithRingSize(512))
 	var worker atomic.Int64

@@ -1,7 +1,7 @@
 // Package obs is the repo's stdlib-only telemetry layer: zero-alloc
 // counters, gauges and fixed-bucket histograms collected in registries,
-// plus trace spans stamped by an injectable clock and exported as JSONL
-// or Chrome trace_event JSON (loadable in Perfetto / chrome://tracing).
+// plus trace spans stamped by an injectable clock and exported as Chrome
+// trace_event JSON (loadable in Perfetto / chrome://tracing).
 //
 // Two registry scopes exist by convention. A per-world registry is owned
 // by the simulation engine (sim.Engine.Obs) and counts only virtual

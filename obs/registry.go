@@ -232,7 +232,7 @@ func bracket(labels string) string {
 
 // Snapshot returns a plain map view of the registry — counters and
 // gauges as numbers, histograms as {count, sum} maps — suitable for
-// expvar.Func publication or JSON dumps.
+// JSON dumps and programmatic reads.
 func (r *Registry) Snapshot() map[string]any {
 	if r == nil {
 		return nil

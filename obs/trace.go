@@ -135,33 +135,6 @@ func (t *Tracer) Reset() {
 	t.mu.Unlock()
 }
 
-// WriteJSONL writes one JSON object per span:
-//
-//	{"name":"lease","cat":"pump","tid":0,"start":1000,"end":2500}
-//
-// Instants carry "end":null plus the argument if present. Times are
-// clock nanoseconds.
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	for _, s := range t.Spans() {
-		fmt.Fprintf(bw, `{"name":%s,"cat":%s,"tid":%d,"start":%d`,
-			strconv.Quote(s.Name), strconv.Quote(s.Cat), s.TID, s.Start)
-		if s.End >= 0 {
-			fmt.Fprintf(bw, `,"end":%d`, s.End)
-		} else {
-			bw.WriteString(`,"end":null`)
-		}
-		if s.Arg != "" {
-			fmt.Fprintf(bw, `,%s:%d`, strconv.Quote(s.Arg), s.ArgV)
-		}
-		bw.WriteString("}\n")
-	}
-	return bw.Flush()
-}
-
 // WriteChromeTrace writes the spans as a Chrome trace_event JSON array
 // (the format Perfetto and chrome://tracing open directly). Complete
 // spans become "X" duration events, instants become "i"; timestamps are
