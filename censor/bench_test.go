@@ -14,7 +14,7 @@ import (
 func BenchmarkWorldBuild(b *testing.B) {
 	for _, name := range []string{"small", "paper-2018"} {
 		sc := MustLookupScenario(name)
-		cfg, err := sc.lower().Compile()
+		cfg, err := ispnet.Compile(sc)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -104,7 +104,7 @@ type config struct {
 
 func defaultConfig() config {
 	return config{
-		scenario: mustScenario("paper-2018"),
+		scenario: MustLookupScenario("paper-2018"),
 		world:    ispnet.DefaultConfig(),
 		timeout:  3 * time.Second,
 		workers:  1,
@@ -123,13 +123,7 @@ type Option func(*config)
 // it.
 func WithScenario(s Scenario) Option {
 	return func(c *config) {
-		// Full spec validation (including the censor-layer Vantages
-		// field), then the lowering to a world config.
-		if err := s.Validate(); err != nil {
-			c.err = fmt.Errorf("censor: %w", err)
-			return
-		}
-		world, err := s.lower().Compile()
+		world, err := ispnet.Compile(s)
 		if err != nil {
 			c.err = fmt.Errorf("censor: %w", err)
 			return

@@ -21,8 +21,9 @@ import (
 //	dns=F        request-mix weights (defaults 0.1 / 0.8 / 0.1); weights
 //	http=F       are relative, any subset may be given
 //	https=F
-//	capacity=K   bound every censoring or transit-provider ISP's middlebox
-//	             flow tables at K entries (0 leaves tables at the default)
+//	capacity=K   bound the middlebox flow tables of every ISP that runs
+//	             them (Scenario.RunsFlowTables: HTTP censors and transit
+//	             providers) at K entries (0 leaves tables at the default)
 //
 // "users=10000" alone reproduces the paper calibration under load;
 // "users=10000,capacity=2048" adds the flow-table pressure that makes
@@ -89,21 +90,9 @@ func ApplyLoad(sc Scenario, directive string) (Scenario, error) {
 		apportionUsers(out.ISPs, users, think, zipf, dnsW, httpW, httpsW)
 	}
 	if capacity > 0 {
-		providers := make(map[string]bool)
 		for i := range out.ISPs {
-			for _, t := range out.ISPs[i].Transits {
-				providers[t.Provider] = true
-			}
-		}
-		for i := range out.ISPs {
-			isp := &out.ISPs[i]
-			switch isp.Mechanism {
-			case "wiretap", "interceptive-overt", "interceptive-covert":
-				isp.FlowCapacity = capacity
-			default:
-				if providers[isp.Name] {
-					isp.FlowCapacity = capacity
-				}
+			if out.RunsFlowTables(&out.ISPs[i]) {
+				out.ISPs[i].FlowCapacity = capacity
 			}
 		}
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/analysis/analysistest"
 	"repro/internal/analysis/apisurface"
+	"repro/internal/ispnet"
 )
 
 // presetSession builds a session for a preset by name.
@@ -69,11 +70,11 @@ func TestScenarioPresetRoundTrip(t *testing.T) {
 			if err := back.Validate(); err != nil {
 				t.Fatalf("Validate after round trip: %v", err)
 			}
-			wantCfg, err := sc.lower().Compile()
+			wantCfg, err := ispnet.Compile(sc)
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			gotCfg, err := back.lower().Compile()
+			gotCfg, err := ispnet.Compile(back)
 			if err != nil {
 				t.Fatalf("Compile after round trip: %v", err)
 			}

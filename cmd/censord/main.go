@@ -48,6 +48,29 @@ import (
 	"repro/obs"
 )
 
+// Server timeouts. A client that stalls mid-header, dribbles a request
+// body or parks an idle keep-alive connection is disconnected instead of
+// holding a goroutine and a descriptor for the daemon's lifetime.
+// ReadTimeout covers the body as well, so it leaves room for a large
+// censorscan -push batch. There is no WriteTimeout: /v1/results streams
+// JSONL of unbounded length.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 2 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server with the timeouts above.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	listen := flag.String("listen", "127.0.0.1:8080", "HTTP listen address")
 	scenario := flag.String("scenario", "small", "world scenario: a registered preset name or a JSON spec file")
@@ -144,7 +167,7 @@ func run(listen, scenario string, every, jitter time.Duration, workers, domainCa
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	srv := &http.Server{Addr: listen, Handler: handler}
+	srv := newServer(listen, handler)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "censord: listening on %s\n", listen)

@@ -14,9 +14,11 @@
 // concurrent deterministic campaigns streaming to pluggable sinks (JSONL,
 // CSV, in-memory aggregation). The library underneath lives in internal/.
 //
-// Worlds come from the scenario layer: censor.Scenario is a public,
-// JSON-serializable world spec (sizing plus per-ISP censorship behaviour)
-// compiled down to the packet-level simulation, with a preset registry
+// Worlds come from the scenario layer: scenario.Scenario (package
+// repro/scenario, re-exported as censor.Scenario) is the one public,
+// JSON-serializable world spec (sizing plus per-ISP censorship behaviour),
+// declared once and compiled by internal/ispnet down to the packet-level
+// simulation, with a preset registry
 // (censor.RegisterScenario / LookupScenario / Scenarios) in which the
 // paper's calibration is just the "paper-2018" entry next to regimes the
 // study never observed (dns-only, all-interceptive, a no-censorship

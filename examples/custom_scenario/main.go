@@ -4,6 +4,10 @@
 // censor's transit (so it inherits collateral blocking) — then runs a
 // campaign over both and aggregates the verdicts.
 //
+// The spec types are declared in package repro/scenario and re-exported
+// by censor under the same names, so the literal below needs no second
+// import; the mechanism names are scenario's constants.
+//
 // The same spec works as JSON (the program prints it): save it to a file
 // and run `censorscan -scenario world.json -measure http -format summary`.
 package main
@@ -15,6 +19,7 @@ import (
 	"os"
 
 	"repro/censor"
+	"repro/scenario"
 )
 
 func main() {
@@ -24,7 +29,7 @@ func main() {
 		Seed:        42, PBWSites: 240, AlexaSites: 100, VantagePoints: 8, Pods: 40,
 		ISPs: []censor.ISPSpec{
 			{
-				Name: "FilterNet", Mechanism: "wiretap",
+				Name: "FilterNet", Mechanism: scenario.MechanismWiretap,
 				Edges: 6, Borders: 8,
 				Middleboxes: 6, InboundMiddleboxes: 4,
 				Consistency: 0.6, HTTPBlocklist: 120,
@@ -35,7 +40,7 @@ func main() {
 				},
 			},
 			{
-				Name: "OpenNet", Mechanism: "none",
+				Name: "OpenNet", Mechanism: scenario.MechanismNone,
 				Edges: 3,
 				Transits: []censor.TransitSpec{
 					{Provider: "FilterNet", Region: "ALL", Collateral: 40},

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/middlebox"
+	"repro/scenario"
 )
 
 // CensorKind is the censorship mechanism an ISP operates itself.
@@ -30,7 +31,10 @@ const (
 )
 
 func (k CensorKind) String() string {
-	return [...]string{"none", "wiretap", "interceptive-overt", "interceptive-covert", "dns-poisoning"}[k]
+	return [...]string{
+		scenario.MechanismNone, scenario.MechanismWiretap, scenario.MechanismInterceptiveOvert,
+		scenario.MechanismInterceptiveCovert, scenario.MechanismDNSPoisoning,
+	}[k]
 }
 
 // TransitLink declares that a customer ISP reaches one hosting region
@@ -121,21 +125,6 @@ const (
 	ASNINDC     = 64510
 	ASNExt      = 64520
 )
-
-// DefaultProfiles returns the calibrated ten-ISP world of the paper,
-// compiled from the PaperScenario spec — the calibration data itself lives
-// there, so the paper is just one preset in the scenario space.
-//
-// Coverage arithmetic (Table 2): within-ISP coverage ≈ Boxes/Borders since
-// each destination pod is served by exactly one border; outside coverage ≈
-// BoxesSrcOrDst/Borders since only src-or-dst-scoped boxes see inbound
-// probes. Airtel 12/16 = 75% & 9/16 = 56%; Idea 11/12 = 91.7% both;
-// Vodafone 9/80 = 11.25% & 2/80 = 2.5%; Jio 2/32 = 6.25% & 0 (all boxes
-// source-only — the paper's hypothesis for never seeing Jio boxes from
-// outside, stated as "filtering ... for source IPs belonging to Jio").
-func DefaultProfiles() []Profile {
-	return DefaultConfig().Profiles
-}
 
 // HTTPCensoring reports whether the profile operates HTTP middleboxes.
 func (p *Profile) HTTPCensoring() bool {
